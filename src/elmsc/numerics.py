@@ -142,11 +142,16 @@ def orthogonal_procrustes(k):
 
 
 def soft_threshold(m, eta):
-    """Elementwise shrinkage (|x| - eta)_+ * sgn(x)."""
+    """Elementwise shrinkage (|x| - eta)_+ * sgn(x).
+
+    Computed as x - clip(x, -eta, eta), which gives the same bits on every
+    entry beyond the threshold and zero on the others, with one temporary.
+    """
     if eta < 0:
         raise ValueError(f"threshold must be nonnegative, got {eta}")
     m = np.asarray(m, dtype=np.float64)
-    return np.sign(m) * np.maximum(np.abs(m) - eta, 0.0)
+    out = np.clip(m, -eta, eta)
+    return np.subtract(m, out, out=out)
 
 
 def col_l21_prox(g, tau):

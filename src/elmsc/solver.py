@@ -3,8 +3,10 @@
 The iteration cycles five subproblems (projection P, latent H, representation
 Z, error E, auxiliary J), then performs dual ascent on three multipliers with
 an increasing penalty. All updates are closed-form: P by an orthogonal
-Procrustes step, H by a Sylvester solve, Z by an SPD solve, E by the
-columnwise l2,1 proximal map, and J by block-diagonal-preserving shrinkage.
+Procrustes step, H by a Sylvester solve (SPD when P is orthonormal), Z by a
+k x k Cholesky through the push-through identity (Z's system I + H.T H is
+the identity plus a rank-k term), E by the columnwise l2,1 proximal map, and
+J by block-diagonal-preserving shrinkage.
 """
 
 import csv
@@ -197,34 +199,48 @@ def update_p(state, xa):
 def update_h(state, xa):
     """Latent step: solve the Sylvester system A H + H B = C.
 
-    A = mu * P.T P and B = mu * (I - Z)(I - Z).T; when P has orthonormal
-    columns A is mu * I, and the system reduces to H (mu I + B) = C, solved
-    by a single SPD factorization.
+    A = mu * P.T P and B = mu * W W.T with W = I - Z. This is Sylvester in
+    general, SPD when P is orthonormal: then A is mu * I, and the system
+    reduces to H (mu I + B) = C, solved by a single SPD factorization.
     """
     p, z, mu = state.p, state.z, state.mu
     k = p.shape[1]
-    vn = z.shape[0]
-    eye_z = np.eye(vn)
-    i_minus_z = eye_z - z
-    b = mu * (i_minus_z @ i_minus_z.T)
+    diag = np.s_[::z.shape[0] + 1]
+    w = np.negative(z)
+    w.flat[diag] += 1.0
+    b = w @ w.T
+    del w
+    b *= mu
     c = (
         p.T @ state.y1
-        + state.y2 @ (z.T - eye_z)
+        + (state.y2 @ z.T - state.y2)
         + mu * (p.T @ (xa - state.e1) + state.e2 - state.e2 @ z.T)
     )
     ptp = p.T @ p
     if np.abs(ptp - np.eye(k)).max() <= 1e-8:
-        return spd_solve(mu * np.eye(vn) + b, c.T).T
+        b.flat[diag] += mu
+        return spd_solve(b, c.T).T
     return solve_sylvester(mu * ptp, b, c)
 
 
 def update_z(state):
-    """Representation step: closed-form solve of the quadratic subproblem."""
+    """Representation step: closed-form solve of the quadratic subproblem.
+
+    The normal equations are (I + H.T H) Z = R0 + H.T H with
+    R0 = J + Y3/mu + H.T (Y2/mu - E2). By the push-through identity
+    (I + H.T H)^-1 H.T H = H.T S^-1 H with S = I_k + H H.T, so
+    Z = R0 + H.T S^-1 (H - H R0): one k x k Cholesky, no vn x vn
+    factorization. The textbook Woodbury form R - H.T S^-1 H R with
+    R = R0 + H.T H would cancel two terms of size |H|^2 into an O(1)
+    result once H grows large.
+    """
     h, mu = state.h, state.mu
-    hth = h.T @ h
-    lhs = hth + np.eye(hth.shape[0])
-    rhs = (state.j + hth - h.T @ state.e2) + (state.y3 + h.T @ state.y2) / mu
-    return spd_solve(lhs, rhs)
+    r0 = h.T @ (state.y2 / mu - state.e2)
+    r0 += state.j
+    r0 += state.y3 / mu
+    s = np.eye(h.shape[0]) + h @ h.T
+    r0 += h.T @ spd_solve(s, h - h @ r0)
+    return r0
 
 
 def update_e(state, xa):
@@ -244,8 +260,11 @@ def update_j(state, lam, v, n):
     m = state.z - state.y3 / state.mu
     if lam == 0.0:
         return m
-    diag = block_diagonal_part(m, v, n)
-    return diag + soft_threshold(m - diag, lam / state.mu)
+    j = soft_threshold(m, lam / state.mu)
+    for i in range(v):
+        s = slice(i * n, (i + 1) * n)
+        j[s, s] = m[s, s]
+    return j
 
 
 def _residual_mats(state, xa):
@@ -255,19 +274,23 @@ def _residual_mats(state, xa):
     return r1, r2, r3
 
 
-def residuals(state, xa):
-    """Max-abs feasibility residuals of the three coupling constraints."""
-    r1, r2, r3 = _residual_mats(state, xa)
-    return (
-        float(np.abs(r1).max()),
-        float(np.abs(r2).max()),
-        float(np.abs(r3).max()),
-    )
+def residuals(state, xa, mats=None):
+    """Max-abs feasibility residuals of the three coupling constraints.
+
+    `mats` takes the residual matrices when the caller already has them.
+    """
+    if mats is None:
+        mats = _residual_mats(state, xa)
+    return tuple(float(max(r.max(), -r.min())) for r in mats)
 
 
-def update_multipliers(state, xa, cfg):
-    """Dual ascent on Y1-Y3, then penalty growth mu <- min(rho mu, mu_max)."""
-    r1, r2, r3 = _residual_mats(state, xa)
+def update_multipliers(state, xa, cfg, mats=None):
+    """Dual ascent on Y1-Y3, then penalty growth mu <- min(rho mu, mu_max).
+
+    `mats` takes the residual matrices when the caller already has them;
+    they are not modified.
+    """
+    r1, r2, r3 = _residual_mats(state, xa) if mats is None else mats
     state.y1 = state.y1 + state.mu * r1
     state.y2 = state.y2 + state.mu * r2
     state.y3 = state.y3 + state.mu * r3
@@ -281,8 +304,9 @@ def objective(state, lam, v, n):
     off-diagonal blocks of Z."""
     e = np.vstack([state.e1, state.e2])
     l21 = float(np.linalg.norm(e, axis=0).sum())
-    off = state.z - block_diagonal_part(state.z, v, n)
-    return l21 + lam * float(np.abs(off).sum())
+    blocks = state.z.reshape(v, n, v, n)
+    diag = sum(float(np.abs(blocks[i, :, i, :]).sum()) for i in range(v))
+    return l21 + lam * (float(np.abs(state.z).sum()) - diag)
 
 
 def effective_data(xa, cfg):
@@ -324,9 +348,14 @@ def run(xa, cfg):
             state.j = update_j(state, lam, v, n)
         except NumericalError as exc:
             raise NumericalError(f"iteration {t}: {exc}") from exc
-        r1, r2, r3 = residuals(state, mat)
-        trace.append(t, r1, r2, r3, objective(state, lam, v, n), state.mu)
-        update_multipliers(state, mat, cfg)
+        obj = objective(state, lam, v, n)
+        # one residual computation serves the stopping test and the duals;
+        # dropped before the next iteration's updates allocate theirs
+        mats = _residual_mats(state, mat)
+        r1, r2, r3 = residuals(state, mat, mats)
+        trace.append(t, r1, r2, r3, obj, state.mu)
+        update_multipliers(state, mat, cfg, mats)
+        del mats
         state.iter = t
         if max(r1, r2, r3) < cfg.tol:
             converged = True

@@ -230,6 +230,22 @@ def test_soft_threshold_is_contraction():
         )
 
 
+
+def test_soft_threshold_matches_sign_form_bitwise():
+    rng = np.random.default_rng(8)
+    eta = 0.375
+    m = rng.standard_normal((40, 50))
+    m.flat[::7] = 0.0
+    m.flat[1::11] = eta
+    m.flat[2::13] = -eta
+    out = soft_threshold(m, eta)
+    ref = np.sign(m) * np.maximum(np.abs(m) - eta, 0.0)
+    nz = ref != 0
+    assert nz.any() and (~nz).any()
+    assert np.array_equal(out[nz].view(np.int64), ref[nz].view(np.int64))
+    assert not out[~nz].any()
+
+
 # ---------------------------------------------------------------------------
 # col_l21_prox
 # ---------------------------------------------------------------------------

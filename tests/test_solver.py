@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elmsc.dataset import MultiViewDataset, build_augmented, gen_synthetic
+import elmsc.solver as solver
+from elmsc.dataset import (
+    MultiViewDataset,
+    build_augmented,
+    default_pca_components,
+    gen_synthetic,
+)
+from elmsc.numerics import spd_solve
 from elmsc.solver import (
     ElmscConfig,
     aggregate_z,
@@ -230,6 +237,33 @@ def test_update_z_gradient_vanishes():
             z_subproblem_value(z + delta, st) - z_subproblem_value(z - delta, st)
         ) / (2 * eps)
     assert np.linalg.norm(grad) <= 1e-6
+
+
+
+def dense_update_z(state):
+    """Reference Z step: the vn x vn normal equations, factored densely."""
+    h, mu = state.h, state.mu
+    hth = h.T @ h
+    rhs = (state.j + hth - h.T @ state.e2) + (state.y3 + h.T @ state.y2) / mu
+    return spd_solve(np.eye(hth.shape[0]) + hth, rhs)
+
+
+def test_run_low_rank_z_matches_dense_reference(monkeypatch):
+    # on this input sigma(H) grows past 1e4; the Woodbury right-hand side
+    # R - H.T S^-1 H R would cancel terms of size |H|^2 there and miss these
+    # tolerances by two orders of magnitude
+    ds = gen_synthetic(clusters=5, per_cluster=12, views=3, latent_dim=30,
+                       view_dims=[256, 128, 192], noise_sigma=0.1, seed=0)
+    xa = build_augmented(ds, default_pca_components(5, ds))
+    cfg = ElmscConfig(lam=1.0, latent_dim=30, seed=0)
+    fast = run(xa, cfg)
+    monkeypatch.setattr(solver, "update_z", dense_update_z)
+    dense = run(xa, cfg)
+    assert len(fast.trace) == len(dense.trace)
+    obj_fast = np.array(fast.trace.objective)
+    obj_dense = np.array(dense.trace.objective)
+    assert np.max(np.abs(obj_fast - obj_dense) / np.abs(obj_dense)) <= 1e-6
+    assert np.abs(fast.z - dense.z).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
