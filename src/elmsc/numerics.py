@@ -31,12 +31,20 @@ class SylvesterSingularError(NumericalError):
         )
 
 
+class NonFiniteError(NumericalError, ValueError):
+    """A kernel input holds NaN/Inf entries.
+
+    A ValueError, as a contract violation, and a NumericalError, because
+    inside the solver it means the iterate has overflowed.
+    """
+
+
 def _as_matrix(m, name="matrix"):
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"{name} must be a nonempty 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains NaN/Inf entries")
+        raise NonFiniteError(f"{name} contains NaN/Inf entries")
     return m
 
 
@@ -154,20 +162,31 @@ def soft_threshold(m, eta):
     return np.subtract(m, out, out=out)
 
 
-def col_l21_prox(g, tau):
+def col_norms(*blocks):
+    """Euclidean norms of the columns of the row-stacked blocks.
+
+    Sums the squares block by block, so the blocks are never stacked and no
+    temporary of their size is made.
+    """
+    sq = sum(np.einsum("ij,ij->j", b, b) for b in blocks)
+    return np.sqrt(sq)
+
+
+def col_l21_prox(g, tau, out=None):
     """Columnwise proximal operator of tau * ||.||_{2,1}.
 
     Column i becomes ((||g_i|| - tau)/||g_i||) * g_i when ||g_i|| > tau and
     zero otherwise; this minimizes tau*||E||_{2,1} + 0.5*||E - g||_F^2.
+    The result goes to `out` when given, which may be g itself.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     g = _as_matrix(g, "g")
-    norms = np.linalg.norm(g, axis=0)
+    norms = col_norms(g)
     scale = np.zeros_like(norms)
     nz = norms > tau
     scale[nz] = (norms[nz] - tau) / norms[nz]
-    return g * scale[None, :]
+    return np.multiply(g, scale[None, :], out=out)
 
 
 def pca_reduce(x, m):

@@ -3,8 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from elmsc.numerics import (
+    NonFiniteError,
+    NumericalError,
     SylvesterSingularError,
     col_l21_prox,
+    col_norms,
     orthogonal_procrustes,
     pca_reduce,
     soft_threshold,
@@ -307,6 +310,33 @@ def test_l21_prox_tiny_tau_approaches_identity():
 def test_l21_prox_rejects_nonpositive_tau():
     with pytest.raises(ValueError):
         col_l21_prox(np.ones((2, 2)), 0.0)
+
+
+def test_l21_prox_in_place_matches_fresh_output():
+    rng = np.random.default_rng(10)
+    g = rng.standard_normal((7, 6))
+    fresh = col_l21_prox(g, 1.5)
+    out = col_l21_prox(g, 1.5, out=g)
+    assert out is g
+    assert np.array_equal(out, fresh)
+
+
+def test_col_norms_of_blocks_match_stacked_norms():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((9, 5))
+    b = rng.standard_normal((3, 5))
+    assert_allclose(col_norms(a, b), np.linalg.norm(np.vstack([a, b]), axis=0),
+                    rtol=1e-14)
+    assert_allclose(col_norms(a), np.linalg.norm(a, axis=0), rtol=1e-14)
+
+
+def test_nonfinite_input_is_both_value_and_numerical_error():
+    g = np.ones((3, 2))
+    g[1, 0] = np.inf
+    with pytest.raises(NonFiniteError) as info:
+        col_l21_prox(g, 0.5)
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, NumericalError)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,7 @@ from elmsc.dataset import (
     default_pca_components,
     gen_synthetic,
 )
-from elmsc.numerics import spd_solve
+from elmsc.numerics import NumericalError, spd_solve
 from elmsc.solver import (
     ElmscConfig,
     aggregate_z,
@@ -474,6 +476,62 @@ def test_run_mu_monotone_and_bounded():
     mus = out.trace.mu
     assert all(b >= a for a, b in zip(mus, mus[1:]))
     assert mus[-1] <= cfg.mu_max
+
+
+def unfused_run(xa, cfg):
+    """Reference loop: the standalone updates in the order P, H, Z, E, J, each
+    forming its own terms, with no shared arguments and no reused buffers."""
+    mat = solver.effective_data(xa, cfg)
+    v, n = xa.n_views, xa.n_samples
+    lam = cfg.effective_lam
+    st = init_state(xa, cfg)
+    objs = []
+    for _ in range(cfg.max_iter):
+        st.p = update_p(st, mat)
+        st.h = update_h(st, mat)
+        st.z = update_z(st)
+        st.e1, st.e2 = update_e(st, mat)
+        st.j = update_j(st, lam, v, n)
+        objs.append(objective(st, lam, v, n))
+        res = residuals(st, mat)
+        update_multipliers(st, mat, cfg)
+        if max(res) < cfg.tol:
+            break
+    return st, objs
+
+
+@pytest.mark.parametrize("view_dims,views,ablation", [
+    ([40, 30], 2, "full"),      # d = 70 > vn = 36
+    ([8, 6, 7], 3, "full"),     # d = 21 < vn = 90
+    ([8, 6, 7], 3, "v1"),
+    ([40, 30], 2, "v2"),
+], ids=["wide", "tall", "tall-v1", "wide-v2"])
+def test_run_matches_unfused_reference(view_dims, views, ablation):
+    per_cluster = 36 // views if views == 2 else 10
+    ds = gen_synthetic(clusters=3, per_cluster=per_cluster, views=views,
+                       latent_dim=4, view_dims=view_dims, noise_sigma=0.1,
+                       seed=1)
+    xa = build_augmented(ds, default_pca_components(3, ds))
+    cfg = ElmscConfig(lam=0.5, latent_dim=4, seed=2, ablation=ablation)
+    fused = run(xa, cfg)
+    ref, ref_objs = unfused_run(xa, cfg)
+    assert len(fused.trace) == len(ref_objs)
+    obj, ref_obj = np.array(fused.trace.objective), np.array(ref_objs)
+    # the l2,1 term is exactly 0 while E is still zero
+    assert np.all(np.abs(obj - ref_obj) <= 1e-9 * np.abs(ref_obj))
+    assert np.abs(fused.z - ref.z).max() <= 1e-9
+
+
+def test_run_divergence_is_numerical_error_naming_iteration():
+    # an input this large overflows H H.T in the first Z step; the finiteness
+    # guard must surface as a NumericalError (CLI exit 3), not a ValueError
+    _, xa = noiseless_two_cluster_aug()
+    big = dataclasses.replace(xa, xa=xa.xa * 1e160)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
+        run(big, ElmscConfig(lam=1.0, latent_dim=4, seed=0))
+    assert not isinstance(info.value, ValueError)
+    assert str(info.value).startswith("iteration 1: ")
+    assert "NaN/Inf" in str(info.value)
 
 
 def test_run_single_view_v2_ablation_identical_to_full():
