@@ -70,22 +70,48 @@ class RunConfig:
             raise ValueError("sweep grids must be nonempty")
 
 
+def _int_list(value):
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return [int(x) for x in value]
+
+
+# (field, conversion, default; None when the field is required)
+_SPEC_FIELDS = (
+    ("clusters", int, None),
+    ("per_cluster", int, None),
+    ("views", int, None),
+    ("latent_dim", int, None),
+    ("view_dims", _int_list, None),
+    ("noise_sigma", float, 0.0),
+    ("seed", int, 0),
+)
+
+
+def _synthetic_dataset(spec):
+    """Generate the dataset a synthetic spec (a parsed JSON object) describes.
+
+    Raises ValueError naming the field when a required one is missing or one
+    has the wrong type.
+    """
+    kwargs = {}
+    for name, convert, default in _SPEC_FIELDS:
+        if name not in spec and default is None:
+            raise ValueError(f"synthetic spec is missing the '{name}' field")
+        value = spec.get(name, default)
+        try:
+            kwargs[name] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"synthetic spec field '{name}' has the wrong type: {value!r}"
+            ) from exc
+    return ds_mod.gen_synthetic(**kwargs)
+
+
 def _load_or_generate(cfg):
     if cfg.manifest is not None:
         return ds_mod.load_dataset(cfg.manifest)
-    spec = dict(cfg.synthetic)
-    try:
-        return ds_mod.gen_synthetic(
-            clusters=int(spec["clusters"]),
-            per_cluster=int(spec["per_cluster"]),
-            views=int(spec["views"]),
-            latent_dim=int(spec["latent_dim"]),
-            view_dims=[int(x) for x in spec["view_dims"]],
-            noise_sigma=float(spec.get("noise_sigma", 0.0)),
-            seed=int(spec.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"synthetic spec is missing the {exc} field") from exc
+    return _synthetic_dataset(cfg.synthetic)
 
 
 def _trial_job(payload):
@@ -296,15 +322,7 @@ def cmd_sweep(cfg):
 
 def cmd_synth(spec, out_dir):
     """Write a synthetic dataset (views, labels, manifest) to out_dir."""
-    data = ds_mod.gen_synthetic(
-        clusters=int(spec["clusters"]),
-        per_cluster=int(spec["per_cluster"]),
-        views=int(spec["views"]),
-        latent_dim=int(spec["latent_dim"]),
-        view_dims=[int(x) for x in spec["view_dims"]],
-        noise_sigma=float(spec.get("noise_sigma", 0.0)),
-        seed=int(spec.get("seed", 0)),
-    )
+    data = _synthetic_dataset(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -149,16 +149,18 @@ def orthogonal_procrustes(k):
     return f.u @ f.vt
 
 
-def soft_threshold(m, eta):
+def soft_threshold(m, eta, out=None):
     """Elementwise shrinkage (|x| - eta)_+ * sgn(x).
 
     Computed as x - clip(x, -eta, eta), which gives the same bits on every
     entry beyond the threshold and zero on the others, with one temporary.
+    The result goes to `out` when given, which may hold anything but must
+    not be m itself: the clip is written there before m is read again.
     """
     if eta < 0:
         raise ValueError(f"threshold must be nonnegative, got {eta}")
     m = np.asarray(m, dtype=np.float64)
-    out = np.clip(m, -eta, eta)
+    out = np.clip(m, -eta, eta, out=out)
     return np.subtract(m, out, out=out)
 
 

@@ -207,7 +207,7 @@ def update_p(state, xa, target=None):
     return orthogonal_procrustes(state.h @ target.T).T
 
 
-def update_h(state, xa, pta=None):
+def update_h(state, xa, pta=None, out=None):
     """Latent step: solve the Sylvester system A H + H B = C.
 
     A = mu * P.T P and B = mu * W W.T with W = I - Z. The right-hand side
@@ -217,15 +217,22 @@ def update_h(state, xa, pta=None):
     has it. This is Sylvester in general, SPD when P is orthonormal: then A
     is mu * I, and the system reduces to H (mu I + B) = C, solved by a
     single SPD factorization.
+
+    `out` takes two vn x vn buffers (for W, for B) to write into instead of
+    allocating them. The W buffer may be Z's own: the step reads Z only
+    entry by entry, to form W, and never again after. Neither buffer may be
+    any other state array, nor may the two be the same.
     """
     p, z, mu = state.p, state.z, state.mu
     k = p.shape[1]
     diag = np.s_[::z.shape[0] + 1]
-    w = np.negative(z)
+    wbuf, bbuf = (None, None) if out is None else out
+    w = np.negative(z, out=wbuf)
     w.flat[diag] += 1.0
     c = mu * (p.T @ _latent_target(state, xa) if pta is None else pta)
     c -= (state.y2 - mu * state.e2) @ w.T
-    b = w @ w.T
+    # matmul on w and its own transpose view runs as a syrk
+    b = np.matmul(w, w.T, out=bbuf)
     del w
     b *= mu
     ptp = p.T @ p
@@ -235,7 +242,7 @@ def update_h(state, xa, pta=None):
     return solve_sylvester(mu * ptp, b, c)
 
 
-def update_z(state):
+def update_z(state, out=None, tmp=None):
     """Representation step: closed-form solve of the quadratic subproblem.
 
     The normal equations are (I + H.T H) Z = R0 + H.T H with
@@ -245,13 +252,18 @@ def update_z(state):
     factorization. The textbook Woodbury form R - H.T S^-1 H R with
     R = R0 + H.T H would cancel two terms of size |H|^2 into an O(1)
     result once H grows large.
+
+    The result goes to `out` when given, and `tmp` takes a second vn x vn
+    buffer for the two vn x vn terms added to it. `out` may be Z's own
+    buffer, whatever it holds, since the step does not read Z; neither may
+    be J or Y3, which it reads, nor may the two be the same.
     """
     h, mu = state.h, state.mu
-    r0 = h.T @ (state.y2 / mu - state.e2)
+    r0 = np.matmul(h.T, state.y2 / mu - state.e2, out=out)
     r0 += state.j
-    r0 += state.y3 / mu
+    r0 += np.divide(state.y3, mu, out=tmp)
     s = np.eye(h.shape[0]) + h @ h.T
-    r0 += h.T @ spd_solve(s, h - h @ r0)
+    r0 += np.matmul(h.T, spd_solve(s, h - h @ r0), out=tmp)
     return r0
 
 
@@ -284,25 +296,32 @@ def update_e(state, xa, fit=None, out=None):
     return e[:d], e[d:]
 
 
-def update_j(state, lam, v, n):
-    """Auxiliary step: keep diagonal blocks, shrink off-diagonal entries."""
-    m = np.divide(state.y3, state.mu)
+def update_j(state, lam, v, n, out=None, tmp=None):
+    """Auxiliary step: keep diagonal blocks, shrink off-diagonal entries.
+
+    The result goes to `out` when given, and `tmp` takes a second vn x vn
+    buffer for M = Z - Y3/mu (with lam == 0, J is M, formed in `out`).
+    `out` may be J's own buffer, since the step does not read J; neither may
+    be Z or Y3, which it reads, nor may the two be the same.
+    """
+    m = np.divide(state.y3, state.mu, out=out if lam == 0.0 else tmp)
     np.subtract(state.z, m, out=m)
     if lam == 0.0:
         return m
-    j = soft_threshold(m, lam / state.mu)
+    j = soft_threshold(m, lam / state.mu, out=out)
     jb, mb = j.reshape(v, n, v, n), m.reshape(v, n, v, n)
     for i in range(v):
         jb[i, :, i, :] = mb[i, :, i, :]
     return j
 
 
-def _residual_mats(state, xa, fit=None):
-    """(X - P H - E1, H - H Z - E2, J - Z); built in place over `fit`."""
+def _residual_mats(state, xa, fit=None, out=None):
+    """(X - P H - E1, H - H Z - E2, J - Z); built in place over `fit`, with
+    J - Z written to `out` when given."""
     r1, r2 = _fit_mats(state, xa) if fit is None else fit
     r1 -= state.e1
     r2 -= state.e2
-    return r1, r2, state.j - state.z
+    return r1, r2, np.subtract(state.j, state.z, out=out)
 
 
 def residuals(state, xa, mats=None):
@@ -325,10 +344,9 @@ def update_multipliers(state, xa, cfg, mats=None):
     """
     if mats is None:
         mats = _residual_mats(state, xa)
-    # R takes Y's place rather than Y += R: the old Y is then freed each
-    # iteration, as when the step made new arrays; keeping Y in place left
-    # the allocator trimming and refaulting others (about 50% more page
-    # faults per solve at vn=600)
+    # R takes Y's place rather than Y += R: `run` reuses the old Y3 as its
+    # spare vn x vn buffer, and freeing the old Y1, Y2 rather than keeping
+    # them in place spares the allocator trimming and refaulting others
     r1, r2, r3 = mats
     for r, y in zip(mats, (state.y1, state.y2, state.y3)):
         r *= state.mu
@@ -382,6 +400,10 @@ def run(xa, cfg):
     # E lives stacked; e1 and e2 are views that each E step refills in place
     e = np.vstack([state.e1, state.e2])
     state.e1, state.e2 = e[:mat.shape[0]], e[mat.shape[0]:]
+    # with one spare, every vn x vn step writes into Z, J or the spare, and
+    # the J - Z residual into the spare becomes Y3, whose old buffer is the
+    # next spare: the loop allocates no vn x vn array of its own
+    spare = np.empty_like(state.z)
     trace = ConvergenceTrace()
     converged = False
     for t in range(1, cfg.max_iter + 1):
@@ -393,20 +415,24 @@ def run(xa, cfg):
             state.p = update_p(state, mat, target=target)
             pta = state.p.T @ target
             del target  # not held across the vn x vn factorizations
-            state.h = update_h(state, mat, pta=pta)
-            state.z = update_z(state)
+            # W = I - Z goes over Z, which nothing reads again before
+            # update_z writes the new Z there
+            state.h = update_h(state, mat, pta=pta, out=(state.z, spare))
+            state.z = update_z(state, out=state.z, tmp=spare)
             # J before E: neither step reads the other's variable, and
-            # the fit terms are not held across J's vn x vn temporaries
-            state.j = update_j(state, lam, v, n)
+            # the fit terms are not held across J's vn x vn work
+            state.j = update_j(state, lam, v, n, out=state.j, tmp=spare)
             fit = _fit_mats(state, mat)
             state.e1, state.e2 = update_e(state, mat, fit=fit, out=e)
         except NumericalError as exc:
             raise NumericalError(f"iteration {t}: {exc}") from exc
         obj = objective(state, lam, v, n)
-        mats = _residual_mats(state, mat, fit)
+        mats = _residual_mats(state, mat, fit, out=spare)
         r1, r2, r3 = residuals(state, mat, mats)
         trace.append(t, r1, r2, r3, obj, state.mu)
+        y3 = state.y3
         update_multipliers(state, mat, cfg, mats)
+        spare = y3  # J - Z became the new Y3
         state.iter = t
         if max(r1, r2, r3) < cfg.tol:
             converged = True

@@ -206,6 +206,36 @@ def test_synth_roundtrip_identical_dataset(tmp_path):
     assert np.array_equal(loaded.labels, direct.labels)
 
 
+def only_error_record(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_synth_missing_field_is_config_error(tmp_path, capsys):
+    code = cli.main(["synth", "--spec", json.dumps({"clusters": 2}),
+                     "--out", str(tmp_path / "data")])
+    assert code == cli.EXIT_CONFIG
+    err = only_error_record(capsys)
+    assert err["error"] == "ValueError"
+    assert "'per_cluster'" in err["message"]
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "cluster"])
+def test_spec_field_of_wrong_type_is_config_error(tmp_path, capsys, command):
+    spec = json.dumps(dict(TINY_SPEC, view_dims=5))
+    if command == "synth":
+        argv = ["synth", "--spec", spec, "--out", str(tmp_path / "data")]
+    else:
+        argv = ["cluster", "--synthetic", spec, "--clusters", "2",
+                "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = only_error_record(capsys)
+    assert err["error"] == "ValueError"
+    assert "'view_dims'" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # cmd_eval
 # ---------------------------------------------------------------------------

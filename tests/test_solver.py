@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,8 +243,10 @@ def test_update_z_gradient_vanishes():
 
 
 
-def dense_update_z(state):
-    """Reference Z step: the vn x vn normal equations, factored densely."""
+def dense_update_z(state, **_):
+    """Reference Z step: the vn x vn normal equations, factored densely.
+
+    Takes and ignores `run`'s buffer keywords, returning a new array."""
     h, mu = state.h, state.mu
     hth = h.T @ h
     rhs = (state.j + hth - h.T @ state.e2) + (state.y3 + h.T @ state.y2) / mu
@@ -500,6 +503,17 @@ def unfused_run(xa, cfg):
     return st, objs
 
 
+def shaped_case(view_dims, views, ablation, per_cluster=None):
+    """Three clusters with 36 samples per view (two views) or 10 (three)."""
+    if per_cluster is None:
+        per_cluster = 36 // views if views == 2 else 10
+    ds = gen_synthetic(clusters=3, per_cluster=per_cluster, views=views,
+                       latent_dim=4, view_dims=view_dims, noise_sigma=0.1,
+                       seed=1)
+    xa = build_augmented(ds, default_pca_components(3, ds))
+    return xa, ElmscConfig(lam=0.5, latent_dim=4, seed=2, ablation=ablation)
+
+
 @pytest.mark.parametrize("view_dims,views,ablation", [
     ([40, 30], 2, "full"),      # d = 70 > vn = 36
     ([8, 6, 7], 3, "full"),     # d = 21 < vn = 90
@@ -507,12 +521,7 @@ def unfused_run(xa, cfg):
     ([40, 30], 2, "v2"),
 ], ids=["wide", "tall", "tall-v1", "wide-v2"])
 def test_run_matches_unfused_reference(view_dims, views, ablation):
-    per_cluster = 36 // views if views == 2 else 10
-    ds = gen_synthetic(clusters=3, per_cluster=per_cluster, views=views,
-                       latent_dim=4, view_dims=view_dims, noise_sigma=0.1,
-                       seed=1)
-    xa = build_augmented(ds, default_pca_components(3, ds))
-    cfg = ElmscConfig(lam=0.5, latent_dim=4, seed=2, ablation=ablation)
+    xa, cfg = shaped_case(view_dims, views, ablation)
     fused = run(xa, cfg)
     ref, ref_objs = unfused_run(xa, cfg)
     assert len(fused.trace) == len(ref_objs)
@@ -520,6 +529,63 @@ def test_run_matches_unfused_reference(view_dims, views, ablation):
     # the l2,1 term is exactly 0 while E is still zero
     assert np.all(np.abs(obj - ref_obj) <= 1e-9 * np.abs(ref_obj))
     assert np.abs(fused.z - ref.z).max() <= 1e-9
+
+
+def dropping_buffers(fn):
+    """The step as called without `run`'s buffer keywords."""
+    def wrapper(*args, out=None, tmp=None, **kwargs):
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("view_dims,views,ablation", [
+    ([40, 30], 2, "full"),      # d = 70 > vn = 36
+    ([8, 6, 7], 3, "full"),     # d = 21 < vn = 90
+    ([8, 6, 7], 3, "v1"),       # J is M, formed straight in J's buffer
+], ids=["wide", "tall", "tall-v1"])
+def test_run_buffer_reuse_is_bit_identical(monkeypatch, view_dims, views,
+                                           ablation):
+    # every vn x vn step writes into a buffer `run` hands it; each must run
+    # the same operations as when it allocates, and none may read a buffer
+    # another step has already overwritten
+    xa, cfg = shaped_case(view_dims, views, ablation)
+    reused = run(xa, cfg)
+    for name in ("update_h", "update_z", "update_j", "_residual_mats"):
+        monkeypatch.setattr(solver, name, dropping_buffers(getattr(solver, name)))
+    fresh = run(xa, cfg)
+    for column in ("iters", "r1", "r2", "r3", "objective", "mu"):
+        assert np.array_equal(getattr(reused.trace, column),
+                              getattr(fresh.trace, column)), column
+    for name in ("z", "j", "y3"):
+        assert np.array_equal(getattr(reused.state, name),
+                              getattr(fresh.state, name)), name
+
+
+def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
+    made = []
+
+    def recording_init_state(xa, cfg):
+        made.append(init_state(xa, cfg))
+        return made[-1]
+
+    monkeypatch.setattr(solver, "init_state", recording_init_state)
+    xa, cfg = shaped_case([8, 6, 7], 3, "full", per_cluster=30)
+    cfg = dataclasses.replace(cfg, tol=1e-300, max_iter=3)
+    vn = xa.xa.shape[1]  # d = 21 < vn = 270
+    run(xa, cfg)  # the first call also allocates one-off library state
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = run(xa, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(out.trace) == 3
+    assert out.z is made[-1].z
+    assert out.state.j is made[-1].j
+    # before the buffers were reused, this warm run peaked at 3,066,220
+    # bytes, 5.2576 vn x vn buffers: Z, J, Y3, B and the Cholesky copy of B
+    assert peak / (8.0 * vn * vn) <= 5.2576
 
 
 def test_run_divergence_is_numerical_error_naming_iteration():

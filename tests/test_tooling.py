@@ -60,3 +60,31 @@ def test_run_calls_every_traced_solver_layer_through_its_attribute(monkeypatch):
                      ElmscConfig(lam=1.0, latent_dim=3, tol=1e-300, max_iter=3))
     assert len(out.trace) == 3
     assert calls == {attr: 3 * n for attr, n in PER_ITERATION.items()}
+
+
+def test_traced_benchmark_hooks_record_every_solver_layer():
+    # runs the traced benchmark's wrappers and hooks as `bench/run.py
+    # --trace 1` does; a hook with a fixed signature (as spd_solve's is)
+    # breaks when `run` passes it a new keyword
+    traced = load_traced()
+    before = [(module, attr, getattr(module, attr))
+              for module, attr, _ in traced.TRACED]
+    names = {attr: name for module, attr, name in traced.TRACED
+             if module is solver}
+    tracer = traced.Tracer()
+    tracer.install()
+    try:
+        ds = gen_synthetic(clusters=2, per_cluster=6, views=2, latent_dim=3,
+                           view_dims=[6, 5], noise_sigma=0.1, seed=0)
+        out = solver.run(build_augmented(ds, 3),
+                         ElmscConfig(lam=1.0, latent_dim=3, tol=1e-300,
+                                     max_iter=2))
+    finally:
+        tracer.uninstall()
+    assert len(out.trace) == 2
+    calls = tracer.summary()["calls"]
+    assert calls["solver.run"] == 1
+    for attr, n in PER_ITERATION.items():
+        assert calls[names[attr]] == 2 * n, attr
+    assert tracer.spd_gflop > 0
+    assert all(getattr(module, attr) is fn for module, attr, fn in before)
