@@ -2,8 +2,9 @@
 
 `cluster` runs seeded end-to-end trials (augmented matrix, solver, spectral
 clustering, metrics) and writes a JSON report plus per-trial traces and
-labels. `sweep` repeats that over a lambda/latent-dim grid. `synth` writes a
-synthetic dataset in the manifest format, and `eval` scores two label files.
+labels. `sweep` repeats the trials over a lambda/latent-dim grid on one
+prepared dataset. `synth` writes a synthetic dataset in the manifest format,
+and `eval` scores two label files.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 failure.
@@ -15,7 +16,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +67,12 @@ class RunConfig:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be positive, got {self.restarts}")
         if not self.lambda_grid or not self.k_grid:
             raise ValueError("sweep grids must be nonempty")
+        self.lambda_grid = tuple(self.lambda_grid)
+        self.k_grid = tuple(self.k_grid)
 
 
 def _int_list(value):
@@ -116,16 +121,12 @@ def _load_or_generate(cfg):
 
 def _trial_job(payload):
     """One end-to-end trial; top-level so worker processes can run it."""
-    (xa, clusters, lam, latent_dim, ablation, restarts, trial, trial_seed,
-     labels) = payload
+    xa, scfg, clusters, restarts, trial, labels = payload
     start = time.perf_counter()
-    scfg = solver_mod.ElmscConfig(
-        lam=lam, latent_dim=latent_dim, seed=trial_seed, ablation=ablation
-    )
     out = solver_mod.run(xa, scfg)
     zhat = solver_mod.aggregate_z(out.z, xa.n_views, xa.n_samples)
     result = spectral_mod.cluster(
-        zhat, clusters, restarts=restarts, seed=trial_seed
+        zhat, clusters, restarts=restarts, seed=scfg.seed
     )
     kkt = solver_mod.kkt_residuals(
         out.state, solver_mod.effective_data(xa, scfg), scfg.effective_lam,
@@ -138,7 +139,7 @@ def _trial_job(payload):
     elapsed = time.perf_counter() - start
     record = {
         "trial": trial,
-        "seed": trial_seed,
+        "seed": scfg.seed,
         "converged": out.converged,
         "iterations": len(out.trace),
         "final_residuals": {
@@ -166,31 +167,24 @@ def _trial_job(payload):
     return record, result.labels, out.trace, metric_values
 
 
-def _resolved_config_dict(cfg, pca_components, drawn=None):
-    schedule = solver_mod.ElmscConfig(lam=cfg.lam, latent_dim=cfg.latent_dim)
-    conf = {
-        "manifest": cfg.manifest,
-        "synthetic": cfg.synthetic,
-        "clusters": cfg.clusters,
-        "lambda": cfg.lam,
-        "latent_dim": cfg.latent_dim,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "ablation": cfg.ablation,
-        "workers": cfg.workers,
-        "restarts": cfg.restarts,
-        "pca_components": pca_components,
-        "mu0": schedule.mu0,
-        "mu_max": schedule.mu_max,
-        "rho": schedule.rho,
-        "tol": schedule.tol,
-        "max_iter": schedule.max_iter,
-        "seed_derivation": "trial seed = base seed + trial index",
-        "random_params": cfg.random_params,
-    }
-    if drawn is not None:
-        conf["random_draw"] = drawn
-    return conf
+def _draw_params(cfg):
+    """(lambda, latent_dim) drawn uniformly from the grids: one draw per
+    run, shared by all its trials."""
+    rng = rng_from(cfg.seed, 101, 7)
+    return (float(rng.choice(np.asarray(cfg.lambda_grid))),
+            int(rng.choice(np.asarray(cfg.k_grid))))
+
+
+def _prepare(cfg):
+    """The part of a run that lambda and latent_dim do not change: load or
+    generate the dataset, check its labels, build the augmented matrix.
+    Returns (augmented matrix, labels or None)."""
+    data = _load_or_generate(cfg)
+    labels = data.labels
+    if labels is not None and len(np.unique(labels)) < 2:
+        raise DatasetError("ground-truth labels must contain >= 2 clusters")
+    pca_components = ds_mod.default_pca_components(cfg.clusters, data)
+    return ds_mod.build_augmented(data, pca_components), labels
 
 
 def cmd_cluster(cfg):
@@ -199,27 +193,23 @@ def cmd_cluster(cfg):
     Trial i uses seed = base seed + i for both the solver initialization and
     the k-means restarts. Returns the report dict.
     """
-    data = _load_or_generate(cfg)
-    labels = data.labels
-    if labels is not None and len(np.unique(labels)) < 2:
-        raise DatasetError("ground-truth labels must contain >= 2 clusters")
+    return _run_trials(cfg, *_prepare(cfg))
 
-    drawn = None
+
+def _run_trials(cfg, xa, labels):
+    """The trials of one run on a prepared augmented matrix; see cmd_cluster."""
     if cfg.random_params:
-        rng = rng_from(cfg.seed, 101, 7)  # one draw per run, shared by all trials
-        cfg.lam = float(rng.choice(np.asarray(cfg.lambda_grid)))
-        cfg.latent_dim = int(rng.choice(np.asarray(cfg.k_grid)))
-        drawn = {"lambda": cfg.lam, "latent_dim": cfg.latent_dim}
-
-    pca_components = ds_mod.default_pca_components(cfg.clusters, data)
-    xa = ds_mod.build_augmented(data, pca_components)
+        lam, latent_dim = _draw_params(cfg)
+        cfg = replace(cfg, lam=lam, latent_dim=latent_dim)
+    scfg = solver_mod.ElmscConfig(lam=cfg.lam, latent_dim=cfg.latent_dim,
+                                  seed=cfg.seed, ablation=cfg.ablation)
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     payloads = [
-        (xa, cfg.clusters, cfg.lam, cfg.latent_dim, cfg.ablation, cfg.restarts,
-         t, cfg.seed + t, labels)
+        (xa, replace(scfg, seed=scfg.seed + t), cfg.clusters, cfg.restarts,
+         t, labels)
         for t in range(cfg.trials)
     ]
     if cfg.workers > 1:
@@ -240,11 +230,17 @@ def cmd_cluster(cfg):
     if trial_tuples:
         aggregate = metrics_mod.aggregate_trials(trial_tuples).as_dict()
 
-    report = {
-        "config": _resolved_config_dict(cfg, pca_components, drawn),
-        "trials": records,
-        "aggregate": aggregate,
-    }
+    # the output directory differs between otherwise identical runs, and
+    # the grids matter only to the draw, which random_draw records
+    config = {**asdict(cfg), **asdict(scfg), "pca_components": xa.pca_dim,
+              "seed_derivation": "trial seed = base seed + trial index"}
+    for name in ("out", "lambda_grid", "k_grid"):
+        del config[name]
+    config["lambda"] = config.pop("lam")
+    if cfg.random_params:
+        config["random_draw"] = {"lambda": cfg.lam,
+                                 "latent_dim": cfg.latent_dim}
+    report = {"config": config, "trials": records, "aggregate": aggregate}
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
@@ -254,20 +250,18 @@ def cmd_cluster(cfg):
 def cmd_sweep(cfg):
     """Cartesian sweep over the lambda and latent-dim grids.
 
-    Each cell runs a full cmd_cluster into its own subdirectory; failures are
-    recorded per cell without aborting the sweep. With random_params a single
-    uniformly drawn cell runs instead of the full grid. Returns the list of
-    cell summaries.
+    The dataset is prepared once, and each cell runs the trials of a full
+    cmd_cluster on it into its own subdirectory. A data error aborts the
+    sweep; a failing cell is recorded in its summary and the sweep goes on.
+    With random_params a single uniformly drawn cell runs instead of the
+    full grid. Returns the list of cell summaries.
     """
+    xa, labels = _prepare(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.random_params:
-        rng = rng_from(cfg.seed, 101, 7)
-        cells = [(
-            float(rng.choice(np.asarray(cfg.lambda_grid))),
-            int(rng.choice(np.asarray(cfg.k_grid))),
-        )]
+        cells = [_draw_params(cfg)]
     else:
         cells = [(lam, k) for lam in cfg.lambda_grid for k in cfg.k_grid]
 
@@ -279,22 +273,11 @@ def cmd_sweep(cfg):
             "latent_dim": k,
             "report": str(cell_dir / "report.json"),
         }
-        cell_cfg = RunConfig(
-            out=str(cell_dir),
-            clusters=cfg.clusters,
-            manifest=cfg.manifest,
-            synthetic=cfg.synthetic,
-            lam=lam,
-            latent_dim=k,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            ablation=cfg.ablation,
-            workers=cfg.workers,
-            restarts=cfg.restarts,
-        )
+        cell_cfg = replace(cfg, out=str(cell_dir), lam=lam, latent_dim=k,
+                           random_params=False)
         try:
-            report = cmd_cluster(cell_cfg)
-        except (ValueError, DatasetError, NumericalError, OSError) as exc:
+            report = _run_trials(cell_cfg, xa, labels)
+        except (ValueError, NumericalError, OSError) as exc:
             cell.update(status="failed", error=f"{type(exc).__name__}: {exc}")
             summaries.append(cell)
             continue
@@ -426,27 +409,12 @@ def _parse_json_arg(text, what):
 
 
 def _run_config_from_args(args):
-    synthetic = None
+    """RunConfig from the parsed arguments, each field from the dest of its
+    name; the cluster parser has no grid options, so they keep defaults."""
+    kwargs = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+              if hasattr(args, f.name)}
     if args.synthetic is not None:
-        synthetic = _parse_json_arg(args.synthetic, "--synthetic")
-    kwargs = dict(
-        out=args.out,
-        clusters=args.clusters,
-        manifest=args.manifest,
-        synthetic=synthetic,
-        lam=args.lam,
-        latent_dim=args.latent_dim,
-        trials=args.trials,
-        seed=args.seed,
-        ablation=args.ablation,
-        workers=args.workers,
-        restarts=args.restarts,
-        random_params=args.random_params,
-    )
-    if getattr(args, "lambda_grid", None) is not None:
-        kwargs["lambda_grid"] = tuple(args.lambda_grid)
-    if getattr(args, "k_grid", None) is not None:
-        kwargs["k_grid"] = tuple(args.k_grid)
+        kwargs["synthetic"] = _parse_json_arg(args.synthetic, "--synthetic")
     return RunConfig(**kwargs)
 
 

@@ -122,10 +122,9 @@ class ConvergenceTrace:
 
 @dataclass
 class SolverOutput:
+    """Result of `run`; the final P, H, E1 and E2 are in `state`."""
+
     z: np.ndarray
-    h: np.ndarray
-    p: np.ndarray
-    e: np.ndarray  # stacked [E1; E2]
     trace: ConvergenceTrace
     converged: bool
     state: AdmmState = None  # final iterate, for stationarity diagnostics
@@ -164,7 +163,11 @@ def block_diagonal_part(m, v, n):
 
 
 def init_state(xa, cfg):
-    """Fresh state: H i.i.d. standard Gaussian from cfg.seed, all else zero."""
+    """Fresh state: H i.i.d. standard Gaussian from cfg.seed, all else zero.
+
+    E1 and E2 are views of one stacked (d+k) x vn buffer, which `run` hands
+    to each E step to refill in place.
+    """
     d, vn = xa.xa.shape
     k = cfg.latent_dim
     if k > d:
@@ -172,12 +175,13 @@ def init_state(xa, cfg):
             f"latent_dim={k} exceeds the stacked feature dimension d={d}"
         )
     h = rng_from(cfg.seed).standard_normal((k, vn))
+    e = np.zeros((d + k, vn))
     return AdmmState(
         p=np.zeros((d, k)),
         h=h,
         z=np.zeros((vn, vn)),
-        e1=np.zeros((d, vn)),
-        e2=np.zeros((k, vn)),
+        e1=e[:d],
+        e2=e[d:],
         j=np.zeros((vn, vn)),
         y1=np.zeros((d, vn)),
         y2=np.zeros((k, vn)),
@@ -397,9 +401,7 @@ def run(xa, cfg):
     lam = cfg.effective_lam
 
     state = init_state(xa, cfg)
-    # E lives stacked; e1 and e2 are views that each E step refills in place
-    e = np.vstack([state.e1, state.e2])
-    state.e1, state.e2 = e[:mat.shape[0]], e[mat.shape[0]:]
+    e = state.e1.base  # the stacked [E1; E2] that init_state made
     # with one spare, every vn x vn step writes into Z, J or the spare, and
     # the J - Z residual into the spare becomes Y3, whose old buffer is the
     # next spare: the loop allocates no vn x vn array of its own
@@ -440,9 +442,6 @@ def run(xa, cfg):
 
     return SolverOutput(
         z=state.z,
-        h=state.h,
-        p=state.p,
-        e=e,
         trace=trace,
         converged=converged,
         state=state,

@@ -126,20 +126,12 @@ def kmeans(points, c, restarts=10, seed=0):
     return best_labels, best_inertia
 
 
-def cluster(zhat, c, restarts=10, seed=0, row_normalize=False):
-    """Full pipeline from aggregated representation to cluster labels.
-
-    `row_normalize` rescales embedding rows to unit norm before k-means;
-    off by default.
-    """
+def cluster(zhat, c, restarts=10, seed=0):
+    """Full pipeline from aggregated representation to cluster labels."""
     aff = affinity(zhat)
     lap = laplacian(aff)
     f = spectral_embed(lap, c)
-    points = f
-    if row_normalize:
-        norms = np.linalg.norm(f, axis=1, keepdims=True)
-        points = np.where(norms > 0, f / np.maximum(norms, 1e-300), f)
-    labels, inertia = kmeans(points, c, restarts=restarts, seed=seed)
+    labels, inertia = kmeans(f, c, restarts=restarts, seed=seed)
     return ClusteringResult(
         labels=labels,
         embedding=f,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -105,12 +106,17 @@ def test_cluster_report_embeds_resolved_config(tmp_path):
 
 
 def test_cluster_random_params_draw_recorded(tmp_path):
-    report = cli.cmd_cluster(tiny_config(tmp_path, random_params=True,
-                                         k_grid=(3,), trials=1))
+    cfg = tiny_config(tmp_path, random_params=True, lam=0.5, latent_dim=2,
+                      k_grid=(3,), trials=1)
+    report = cli.cmd_cluster(cfg)
     draw = report["config"]["random_draw"]
     assert draw["lambda"] in cli.DEFAULT_LAMBDA_GRID
     assert draw["latent_dim"] == 3
     assert report["config"]["random_params"] is True
+    assert (report["config"]["lambda"], report["config"]["latent_dim"]) == \
+        (draw["lambda"], draw["latent_dim"])
+    # the draw goes into the run's own config, not the caller's
+    assert (cfg.lam, cfg.latent_dim) == (0.5, 2)
 
 
 def test_cluster_workers_match_serial(tmp_path):
@@ -155,6 +161,17 @@ def test_sweep_cell_failure_does_not_abort(tmp_path):
     status = {c["latent_dim"]: c["status"] for c in cells}
     assert status[3] == "ok"
     assert status[50] == "failed"
+
+
+def test_sweep_missing_manifest_is_data_error(tmp_path, capsys):
+    code = cli.main([
+        "sweep", "--manifest", str(tmp_path / "nope.json"), "--clusters", "2",
+        "--lambda-grid", "0.1", "1", "--k-grid", "3", "--out",
+        str(tmp_path / "o"),
+    ])
+    assert code == cli.EXIT_DATA
+    assert only_error_record(capsys)["error"] == "DatasetError"
+    assert not (tmp_path / "o" / "summary.csv").exists()
 
 
 def test_sweep_random_params_single_cell(tmp_path):
@@ -295,6 +312,41 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert code == cli.EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "NumericalError"
+
+
+def test_every_run_config_field_is_a_parser_dest():
+    # RunConfig is filled from the dests of the same names, so a field
+    # added on one side only must fail here
+    parser = cli.build_parser()
+    common = ["--clusters", "2", "--out", "x"]
+    sweep = vars(parser.parse_args(["sweep", *common]))
+    cluster = vars(parser.parse_args(["cluster", *common]))
+    names = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert names <= sweep.keys()
+    assert names - {"lambda_grid", "k_grid"} <= cluster.keys()
+
+
+def test_zero_restarts_rejected_before_data_is_loaded(tmp_path, capsys):
+    with pytest.raises(ValueError, match="restarts"):
+        tiny_config(tmp_path, restarts=0)
+    # a data error would exit 2: the config error comes first
+    code = cli.main(["cluster", "--manifest", str(tmp_path / "nope.json"),
+                     "--clusters", "2", "--restarts", "0",
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "restarts" in only_error_record(capsys)["message"]
+
+
+@pytest.mark.parametrize("name,value", [("latent_dim", 0), ("lam", -1.0)])
+def test_bad_solver_config_rejected_before_first_trial(monkeypatch, tmp_path,
+                                                       name, value):
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_trial_job", no_trial)
+    with pytest.raises(ValueError, match=name):
+        cli.cmd_cluster(tiny_config(tmp_path, **{name: value}))
+    assert not (tmp_path / "out").exists()
 
 
 def test_parser_rejects_unknown_ablation(capsys):

@@ -75,6 +75,9 @@ def test_init_state_deterministic_and_zeroed():
     assert np.array_equal(a.h, b.h)
     for name in ("p", "z", "e1", "e2", "j", "y1", "y2", "y3"):
         assert not getattr(a, name).any(), name
+    # run refills E1 and E2 in place through their stacked buffer
+    assert a.e1.base is a.e2.base
+    assert a.e1.base.shape == (xa.xa.shape[0] + 3, xa.xa.shape[1])
     assert a.mu == 1e-4
     assert a.iter == 0
 
@@ -607,7 +610,7 @@ def test_run_single_view_v2_ablation_identical_to_full():
     full = run(xa, ElmscConfig(lam=1.0, latent_dim=3, seed=7))
     v2 = run(xa, ElmscConfig(lam=1.0, latent_dim=3, seed=7, ablation="v2"))
     assert np.array_equal(full.z, v2.z)
-    assert np.array_equal(full.h, v2.h)
+    assert np.array_equal(full.state.h, v2.state.h)
     assert full.trace.r1 == v2.trace.r1
 
 
