@@ -203,6 +203,8 @@ def _run_trials(cfg, xa, labels):
         cfg = replace(cfg, lam=lam, latent_dim=latent_dim)
     scfg = solver_mod.ElmscConfig(lam=cfg.lam, latent_dim=cfg.latent_dim,
                                   seed=cfg.seed, ablation=cfg.ablation)
+    # before the output directory exists: a config error leaves nothing
+    solver_mod.check_latent_dim(scfg.latent_dim, xa.xa.shape[0])
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -219,6 +219,60 @@ def pca_reduce(x, m):
     return reduced, min(retained, 1.0)
 
 
+# gram_cg_solve's stopping rule: relative residual per row, and the
+# iteration cap past which the caller factors instead
+CG_RTOL = 1e-12
+CG_MAX_ITER = 50
+
+
+def _row_dots(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def gram_cg_solve(w, b, x0):
+    """Solve X (I + W W.T) = b for X, one conjugate-gradient run per row.
+
+    The k rows run together: each iteration applies X -> X + (X W) W.T to
+    all of them at once, two k x vn by vn x vn products, while the step
+    lengths alpha and beta are per-row scalars. The run stops once every
+    row's residual is at most CG_RTOL times its row of b; CG_MAX_ITER caps
+    the iterations. x0 is the starting point. Returns (X, iterations), or
+    (None, iterations) when some row is still above its tolerance at the
+    cap, or the iterate overflows, so that the caller can fall back to a
+    factorization. W itself is not checked for NaN/Inf: it can only make
+    the iterate non-finite.
+    """
+    b = _as_matrix(b, "b")
+    x = _as_matrix(x0, "x0").copy()
+    r = b - x
+    r -= (x @ w) @ w.T
+    p = r.copy()
+    rr = _row_dots(r, r)
+    tol = CG_RTOL**2 * _row_dots(b, b)
+    for it in range(CG_MAX_ITER + 1):
+        if not np.isfinite(rr).all():
+            return None, it
+        if (rr <= tol).all():
+            return x, it
+        if it == CG_MAX_ITER:
+            return None, it
+        q = (p @ w) @ w.T
+        q += p
+        # rows already within tolerance keep stepping, at no extra cost in
+        # the shared products, unless exactly solved: then p.q is 0 and
+        # rr / p.q undefined, and alpha = beta = 0 keeps x and r
+        live = rr > 0
+        alpha = np.divide(rr, _row_dots(p, q), out=np.zeros_like(rr),
+                          where=live)
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        rr_new = _row_dots(r, r)
+        beta = np.divide(rr_new, rr, out=np.zeros_like(rr), where=live)
+        p *= beta[:, None]
+        p += r
+        rr = rr_new
+
+
 def spd_solve(a, b):
     """Solve a @ X = b for symmetric positive definite a via Cholesky."""
     a = _as_matrix(a, "a")

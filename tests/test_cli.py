@@ -337,7 +337,8 @@ def test_zero_restarts_rejected_before_data_is_loaded(tmp_path, capsys):
     assert "restarts" in only_error_record(capsys)["message"]
 
 
-@pytest.mark.parametrize("name,value", [("latent_dim", 0), ("lam", -1.0)])
+@pytest.mark.parametrize("name,value", [("latent_dim", 0), ("lam", -1.0),
+                                        ("latent_dim", 40)])  # 40 > d
 def test_bad_solver_config_rejected_before_first_trial(monkeypatch, tmp_path,
                                                        name, value):
     def no_trial(payload):
@@ -358,3 +359,27 @@ def test_bad_synthetic_json_is_config_error(tmp_path, capsys):
     code = cli.main(["cluster", "--synthetic", "{not json", "--clusters", "2",
                      "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
+
+
+def test_latent_dim_above_d_refused_before_output_and_trials(monkeypatch,
+                                                            tmp_path, capsys):
+    # a --random-params draw above d is refused the same way, unclamped,
+    # and in a sweep it is that cell's failure, with no cell directory
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_trial_job", no_trial)
+    code = cli.main(["cluster", "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--latent-dim", "40", "--out",
+                     str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "latent_dim=40" in only_error_record(capsys)["message"]
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ValueError, match="latent_dim=40"):
+        cli.cmd_cluster(tiny_config(tmp_path, random_params=True, k_grid=(40,)))
+    assert not (tmp_path / "out").exists()
+    cells = cli.cmd_sweep(tiny_config(tmp_path, random_params=True,
+                                      k_grid=(40,)))
+    assert [c["status"] for c in cells] == ["failed"]
+    assert "latent_dim=40" in cells[0]["error"]
+    assert not Path(cells[0]["report"]).parent.exists()

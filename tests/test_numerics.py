@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import elmsc.numerics as numerics
 from elmsc.numerics import (
     NonFiniteError,
     NumericalError,
     SylvesterSingularError,
     col_l21_prox,
     col_norms,
+    gram_cg_solve,
     orthogonal_procrustes,
     pca_reduce,
     soft_threshold,
@@ -17,7 +19,7 @@ from elmsc.numerics import (
     sym_eig,
 )
 
-from conftest import random_row_orthonormal
+from conftest import random_admm_state, random_row_orthonormal
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +418,66 @@ def test_spd_solve_rejects_indefinite():
 
     with pytest.raises(NumericalError):
         spd_solve(np.diag([1.0, -1.0]), np.ones((2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# gram_cg_solve
+# ---------------------------------------------------------------------------
+
+def test_gram_cg_solve_matches_cholesky_on_h_step_systems():
+    # the H step's system X (I + W W.T) = C / mu, W = I - Z, started from H,
+    # on states drawn as acceptance criterion 2 draws them
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        k = int(rng.integers(2, 6))
+        d = int(rng.integers(k, 13))
+        v = int(rng.integers(1, 4))
+        n = int(rng.integers(2, 11))
+        st = random_admm_state(rng, d=d, k=k, v=v, n=n,
+                               mu=float(rng.uniform(0.5, 2.0)))
+        xa = rng.standard_normal((d, v * n))
+        w = np.eye(v * n) - st.z
+        c = (st.p.T @ (st.mu * (xa - st.e1) + st.y1)
+             - (st.y2 - st.mu * st.e2) @ w.T)
+        b = c / st.mu
+        x, _ = gram_cg_solve(w, b, st.h)
+        gram = np.eye(v * n) + w @ w.T
+        ref = spd_solve(gram, b.T).T
+        b_norms = np.linalg.norm(b, axis=1)
+        # the stop rule is 1e-12 per row on the recurred residual; the
+        # true residual may drift from it by rounding
+        assert np.all(np.linalg.norm(x @ gram - b, axis=1) <= 1e-11 * b_norms)
+        assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_gram_cg_solve_identity_w_converges_in_one_iteration():
+    rng = np.random.default_rng(32)
+    b = rng.standard_normal((4, 30))
+    x, its = gram_cg_solve(np.eye(30), b, rng.standard_normal((4, 30)))
+    assert its == 1
+    assert_allclose(x, b / 2, rtol=0, atol=1e-14)
+
+
+def test_gram_cg_solve_exactly_solved_row_stays_put():
+    # a row with zero residual has p.q = 0; it must not turn into NaN
+    rng = np.random.default_rng(33)
+    w = np.eye(12) - rng.standard_normal((12, 12)) / 4
+    b = rng.standard_normal((3, 12))
+    b[1] = 0.0
+    x0 = np.zeros((3, 12))
+    x, _ = gram_cg_solve(w, b, x0)
+    assert not x[1].any()
+    assert_allclose(x @ (np.eye(12) + w @ w.T), b, atol=1e-10)
+
+
+def test_gram_cg_solve_gives_up_at_cap_or_overflow(monkeypatch):
+    rng = np.random.default_rng(34)
+    w = np.eye(20) - rng.standard_normal((20, 20)) / 3
+    b = rng.standard_normal((2, 20))
+    monkeypatch.setattr(numerics, "CG_MAX_ITER", 2)
+    assert gram_cg_solve(w, b, np.zeros((2, 20))) == (None, 2)
+    monkeypatch.undo()
+    # finite, but its squared row norms overflow
+    assert gram_cg_solve(w, b * 1e160, np.zeros((2, 20)))[0] is None
+    with pytest.raises(NonFiniteError):
+        gram_cg_solve(w, np.full((2, 20), np.nan), np.zeros((2, 20)))

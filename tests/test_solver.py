@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import elmsc.numerics as numerics
 import elmsc.solver as solver
 from elmsc.dataset import (
     MultiViewDataset,
@@ -272,6 +273,84 @@ def test_run_low_rank_z_matches_dense_reference(monkeypatch):
     obj_dense = np.array(dense.trace.objective)
     assert np.max(np.abs(obj_fast - obj_dense) / np.abs(obj_dense)) <= 1e-6
     assert np.abs(fast.z - dense.z).max() <= 1e-6
+
+
+def dense_update_h(state, xa, **_):
+    """Reference H step for orthonormal P: H mu (I + W W.T) = C with the
+    vn x vn Gram factored densely. Takes and ignores `run`'s keywords."""
+    mu, vn = state.mu, state.z.shape[0]
+    w = np.eye(vn) - state.z
+    c = (state.p.T @ (mu * (xa - state.e1) + state.y1)
+         - (state.y2 - mu * state.e2) @ w.T)
+    return spd_solve(mu * (np.eye(vn) + w @ w.T), c.T).T
+
+
+def counting_cg(monkeypatch):
+    """Route solver.gram_cg_solve through a wrapper; returns the list of
+    its results' iteration counts, None for each give-up."""
+    results = []
+    cg = solver.gram_cg_solve
+
+    def wrapper(*args):
+        x, its = cg(*args)
+        results.append(None if x is None else its)
+        return x, its
+
+    monkeypatch.setattr(solver, "gram_cg_solve", wrapper)
+    return results
+
+
+def dense_k8_aug(scale=1.0):
+    """The dense-k8 benchmark data: vn = 600, d = 108."""
+    ds = gen_synthetic(clusters=5, per_cluster=40, views=3, latent_dim=8,
+                       view_dims=[40, 32, 36], noise_sigma=0.05, seed=0)
+    xa = build_augmented(ds, default_pca_components(5, ds))
+    return dataclasses.replace(xa, xa=xa.xa * scale)
+
+
+@pytest.mark.parametrize("k", [8, 10])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_run_cg_h_step_matches_dense_reference(monkeypatch, k, seed):
+    # at vn = 600 the cost rule sends k <= 16 to CG; at k = 10 a relative
+    # stop of 1e-10 instead of 1e-12 drifts 2.7e-9 in objective here
+    xa = dense_k8_aug()
+    cfg = ElmscConfig(lam=1.0, latent_dim=k, seed=seed)
+    cg_runs = counting_cg(monkeypatch)
+    fast = run(xa, cfg)
+    assert len(cg_runs) == len(fast.trace) and None not in cg_runs
+    monkeypatch.setattr(solver, "update_h", dense_update_h)
+    dense = run(xa, cfg)
+    assert len(fast.trace) == len(dense.trace)
+    obj_fast = np.array(fast.trace.objective)
+    obj_dense = np.array(dense.trace.objective)
+    assert np.all(np.abs(obj_fast - obj_dense) <= 1e-9 * np.abs(obj_dense))
+    assert np.abs(fast.z - dense.z).max() <= 1e-9
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_run_cg_h_step_falls_back_to_dense_at_its_cap(monkeypatch, cap):
+    # vn = 90, k = 2 takes the CG branch; with a cap of 0 every step falls
+    # back, with 1 all but the first (W = I there, solved in one iteration)
+    xa, cfg = shaped_case([8, 6, 7], 3, "full")
+    cfg = dataclasses.replace(cfg, latent_dim=2)
+    ref = run(xa, cfg)
+    monkeypatch.setattr(numerics, "CG_MAX_ITER", cap)
+    cg_runs = counting_cg(monkeypatch)
+    spd_calls = []
+    monkeypatch.setattr(solver, "spd_solve",
+                        lambda a, b: spd_calls.append(1) or spd_solve(a, b))
+    capped = run(xa, cfg)
+    iters = len(capped.trace)
+    assert cg_runs == [1] * cap + [None] * (iters - cap)
+    assert len(spd_calls) == 2 * iters - cap
+    monkeypatch.setattr(solver, "update_h", dense_update_h)
+    dense = run(xa, cfg)
+    assert iters == len(dense.trace) == len(ref.trace)
+    obj_dense = np.array(dense.trace.objective)
+    for out in (capped, ref):
+        obj = np.array(out.trace.objective)
+        assert np.all(np.abs(obj - obj_dense) <= 1e-9 * np.abs(obj_dense))
+        assert np.abs(out.z - dense.z).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +680,35 @@ def test_run_divergence_is_numerical_error_naming_iteration():
     assert not isinstance(info.value, ValueError)
     assert str(info.value).startswith("iteration 1: ")
     assert "NaN/Inf" in str(info.value)
+
+
+def test_run_divergence_on_the_cg_h_step_is_numerical_error(monkeypatch):
+    # the same guard where the cost rule takes the CG H step: CG gives up
+    # on the overflowing norms, and the dense path and Z step keep the
+    # NaN/Inf check
+    cg_runs = counting_cg(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
+        run(dense_k8_aug(1e160), ElmscConfig(lam=1.0, latent_dim=8, seed=0))
+    assert cg_runs
+    assert not isinstance(info.value, ValueError)
+    assert str(info.value).startswith("iteration 1: ")
+    assert "NaN/Inf" in str(info.value)
+
+
+def test_run_logs_rank_deficient_procrustes_once_per_solve(caplog):
+    # a rank-1 X keeps H T.T rank-deficient at every iteration
+    _, xa = noiseless_two_cluster_aug()
+    rng = np.random.default_rng(0)
+    d, vn = xa.xa.shape
+    low = dataclasses.replace(xa, xa=np.outer(rng.standard_normal(d),
+                                              rng.standard_normal(vn)))
+    cfg = ElmscConfig(lam=1.0, latent_dim=4, seed=0, tol=1e-300, max_iter=5)
+    with caplog.at_level("WARNING", logger="elmsc.numerics"):
+        out = run(low, cfg)
+        run(low, cfg)
+    assert len(out.trace) == 5
+    warned = [r for r in caplog.records if "rank-deficient" in r.getMessage()]
+    assert len(warned) == 2  # once for each solve
 
 
 def test_run_single_view_v2_ablation_identical_to_full():

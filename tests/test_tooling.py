@@ -62,29 +62,48 @@ def test_run_calls_every_traced_solver_layer_through_its_attribute(monkeypatch):
     assert calls == {attr: 3 * n for attr, n in PER_ITERATION.items()}
 
 
+def traced_solve(traced, per_cluster, latent_dim, max_iter):
+    """One solve under the traced benchmark's wrappers and hooks, installed
+    as `bench/run.py --trace 1` installs them; returns the tracer."""
+    before = [(module, attr, getattr(module, attr))
+              for module, attr, _ in traced.TRACED]
+    tracer = traced.Tracer()
+    tracer.install()
+    try:
+        ds = gen_synthetic(clusters=2, per_cluster=per_cluster, views=2,
+                           latent_dim=3, view_dims=[6, 5], noise_sigma=0.1,
+                           seed=0)
+        out = solver.run(build_augmented(ds, 3),
+                         ElmscConfig(lam=1.0, latent_dim=latent_dim,
+                                     tol=1e-300, max_iter=max_iter))
+    finally:
+        tracer.uninstall()
+    assert len(out.trace) == max_iter
+    assert all(getattr(module, attr) is fn for module, attr, fn in before)
+    return tracer
+
+
 def test_traced_benchmark_hooks_record_every_solver_layer():
     # runs the traced benchmark's wrappers and hooks as `bench/run.py
     # --trace 1` does; a hook with a fixed signature (as spd_solve's is)
     # breaks when `run` passes it a new keyword
     traced = load_traced()
-    before = [(module, attr, getattr(module, attr))
-              for module, attr, _ in traced.TRACED]
     names = {attr: name for module, attr, name in traced.TRACED
              if module is solver}
-    tracer = traced.Tracer()
-    tracer.install()
-    try:
-        ds = gen_synthetic(clusters=2, per_cluster=6, views=2, latent_dim=3,
-                           view_dims=[6, 5], noise_sigma=0.1, seed=0)
-        out = solver.run(build_augmented(ds, 3),
-                         ElmscConfig(lam=1.0, latent_dim=3, tol=1e-300,
-                                     max_iter=2))
-    finally:
-        tracer.uninstall()
-    assert len(out.trace) == 2
+    tracer = traced_solve(traced, per_cluster=6, latent_dim=3, max_iter=2)
     calls = tracer.summary()["calls"]
     assert calls["solver.run"] == 1
     for attr, n in PER_ITERATION.items():
         assert calls[names[attr]] == 2 * n, attr
     assert tracer.spd_gflop > 0
-    assert all(getattr(module, attr) is fn for module, attr, fn in before)
+
+
+def test_traced_benchmark_hooks_on_the_cg_h_step():
+    # vn = 80 > 36 k: the cost rule takes the CG H step, which calls no
+    # spd_solve, so only the Z step's does
+    traced = load_traced()
+    tracer = traced_solve(traced, per_cluster=20, latent_dim=2, max_iter=3)
+    calls = tracer.summary()["calls"]
+    assert calls["solver.update_h"] == 3
+    assert calls["numerics.spd_solve"] == 3
+    assert tracer.spd_gflop > 0
