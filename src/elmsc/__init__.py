@@ -10,7 +10,6 @@ from .dataset import (
     AugmentedMatrix,
     DatasetError,
     MultiViewDataset,
-    SimilarityMatrix,
     build_augmented,
     cosine_similarity,
     default_pca_components,
@@ -50,11 +49,10 @@ from .solver import (
     kkt_residuals,
     run,
 )
-from .spectral import Affinity, ClusteringResult, cluster, kmeans, spectral_embed
+from .spectral import ClusteringResult, cluster, kmeans, spectral_embed
 
 __all__ = [
     "AdmmState",
-    "Affinity",
     "AugmentedMatrix",
     "ClusteringResult",
     "ConvergenceTrace",
@@ -65,7 +63,6 @@ __all__ = [
     "LabelPair",
     "MultiViewDataset",
     "NumericalError",
-    "SimilarityMatrix",
     "SolverOutput",
     "SylvesterSingularError",
     "acc",

@@ -129,8 +129,7 @@ def _trial_job(payload):
         zhat, clusters, restarts=restarts, seed=scfg.seed
     )
     kkt = solver_mod.kkt_residuals(
-        out.state, solver_mod.effective_data(xa, scfg), scfg.effective_lam,
-        xa.n_views, xa.n_samples,
+        out.state, out.data, scfg.effective_lam, xa.n_views, xa.n_samples,
     )
     metric_values = None
     if labels is not None:
@@ -147,19 +146,10 @@ def _trial_job(payload):
             "r2": out.trace.r2[-1],
             "r3": out.trace.r3[-1],
         },
-        "kkt": {
-            "recon": kkt.recon,
-            "selfrep": kkt.selfrep,
-            "aux": kkt.aux,
-            "e_gap": kkt.e_gap,
-            "j_gap": kkt.j_gap,
-        },
-        "metrics": None if metric_values is None else {
-            "acc": metric_values[0],
-            "nmi": metric_values[1],
-            "ari": metric_values[2],
-            "f1": metric_values[3],
-        },
+        "kkt": asdict(kkt),
+        "metrics": None if metric_values is None else dict(
+            zip(metrics_mod.METRIC_NAMES, metric_values)
+        ),
         "labels_file": f"labels_{trial}.txt",
         "trace_file": f"trace_{trial}.csv",
         "wall_clock_sec": elapsed,
@@ -291,12 +281,9 @@ def cmd_sweep(cfg):
                 cell[f"{name}_std"] = stats["std"]
         summaries.append(cell)
 
-    columns = [
-        "lambda", "latent_dim", "status",
-        "acc_mean", "acc_std", "nmi_mean", "nmi_std",
-        "ari_mean", "ari_std", "f1_mean", "f1_std",
-        "report", "error",
-    ]
+    stats = [f"{name}_{stat}" for name in metrics_mod.METRIC_NAMES
+             for stat in ("mean", "std")]
+    columns = ["lambda", "latent_dim", "status", *stats, "report", "error"]
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
@@ -329,19 +316,10 @@ def cmd_synth(spec, out_dir):
     return path
 
 
-def _read_label_file(path):
-    try:
-        return np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except OSError as exc:
-        raise DatasetError(f"cannot read label file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DatasetError(f"label file {path} is not integer-valued: {exc}") from exc
-
-
 def cmd_eval(predicted_path, truth_path):
     """Score a predicted label file against a ground-truth one."""
-    predicted = _read_label_file(predicted_path)
-    truth = _read_label_file(truth_path)
+    predicted = ds_mod.load_labels(predicted_path)
+    truth = ds_mod.load_labels(truth_path)
     pair = metrics_mod.LabelPair(predicted=predicted, truth=truth)
     values = metrics_mod.all_metrics(pair)
     for name, val in zip(("ACC", "NMI", "AR", "F1"), values):

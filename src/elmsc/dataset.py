@@ -6,10 +6,12 @@ blocks and similarity-weighted cross-view products off the diagonal.
 """
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from ._seeds import rng_from
 from .numerics import pca_reduce
@@ -27,7 +29,6 @@ class MultiViewDataset:
 
     views: list
     labels: np.ndarray | None = None
-    view_names: list | None = None
 
     def __post_init__(self):
         if len(self.views) < 1:
@@ -49,8 +50,6 @@ class MultiViewDataset:
                 raise ValueError(
                     f"labels must have {n} entries, got {self.labels.shape}"
                 )
-        if self.view_names is not None and len(self.view_names) != len(self.views):
-            raise ValueError("view_names length must match the view count")
 
     @property
     def n_views(self):
@@ -66,22 +65,13 @@ class MultiViewDataset:
 
 
 @dataclass(frozen=True)
-class SimilarityMatrix:
-    """Cosine-derived similarity between samples of view p and view q."""
-
-    p: int
-    q: int
-    s: np.ndarray
-
-
-@dataclass(frozen=True)
 class AugmentedMatrix:
     """Block matrix of shape d x (v*n): raw views on the diagonal blocks,
-    similarity-weighted cross products elsewhere."""
+    similarity-weighted cross products elsewhere. Block column q starts at
+    column q*n."""
 
     xa: np.ndarray
     block_rows: tuple  # row offset of each view block
-    block_cols: tuple  # column offset of each view block
     pca_dim: int
 
     @property
@@ -90,7 +80,7 @@ class AugmentedMatrix:
 
     @property
     def n_samples(self):
-        return self.xa.shape[1] // len(self.block_cols)
+        return self.xa.shape[1] // self.n_views
 
     @property
     def view_dims(self):
@@ -101,8 +91,13 @@ class AugmentedMatrix:
         """The (p, q) block, shape d_p x n."""
         r0 = self.block_rows[p]
         r1 = r0 + self.view_dims[p]
-        c0 = self.block_cols[q]
-        return self.xa[r0:r1, c0:c0 + self.n_samples]
+        n = self.n_samples
+        return self.xa[r0:r1, q * n:(q + 1) * n]
+
+    def block_diagonal(self):
+        """A new d x (v*n) matrix holding the diagonal blocks (the raw
+        views) and zeros elsewhere."""
+        return block_diag(*(self.block(l, l) for l in range(self.n_views)))
 
 
 def _normalize_columns(x):
@@ -113,7 +108,7 @@ def _normalize_columns(x):
     return out
 
 
-def cosine_similarity(xp, xq, p=0, q=1):
+def cosine_similarity(xp, xq):
     """Similarity block between two dimension-aligned views.
 
     Entry (i, j) maps the cosine of sample i of the first view against
@@ -132,7 +127,7 @@ def cosine_similarity(xp, xq, p=0, q=1):
         )
     s = 0.5 * (_normalize_columns(xp).T @ _normalize_columns(xq)) + 0.5
     np.clip(s, 0.0, 1.0, out=s)  # guard rounding excursions outside [0, 1]
-    return SimilarityMatrix(p=p, q=q, s=s)
+    return s
 
 
 def build_augmented(ds, pca_components, identity_similarity=False):
@@ -156,7 +151,7 @@ def build_augmented(ds, pca_components, identity_similarity=False):
         sim = {}
         for p in range(v):
             for q in range(p + 1, v):
-                s = cosine_similarity(aligned[p], aligned[q], p, q).s
+                s = cosine_similarity(aligned[p], aligned[q])
                 sim[(p, q)] = s
                 sim[(q, p)] = s.T
     else:
@@ -164,19 +159,16 @@ def build_augmented(ds, pca_components, identity_similarity=False):
 
     dims = ds.view_dims
     row_off = tuple(int(x) for x in np.concatenate([[0], np.cumsum(dims)[:-1]]))
-    col_off = tuple(i * n for i in range(v))
     xa = np.empty((sum(dims), v * n))
     for p in range(v):
         r0, r1 = row_off[p], row_off[p] + dims[p]
         for q in range(v):
-            c0 = col_off[q]
+            c0 = q * n
             if p == q or sim is None:
                 xa[r0:r1, c0:c0 + n] = ds.views[p]
             else:
                 xa[r0:r1, c0:c0 + n] = ds.views[p] @ sim[(p, q)]
-    return AugmentedMatrix(
-        xa=xa, block_rows=row_off, block_cols=col_off, pca_dim=pca_components
-    )
+    return AugmentedMatrix(xa=xa, block_rows=row_off, pca_dim=pca_components)
 
 
 def default_pca_components(clusters, ds):
@@ -228,8 +220,7 @@ def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
         if noise_sigma > 0:
             x = x + noise_sigma * rng.standard_normal(x.shape)
         out.append(x)
-    names = [f"view{i}" for i in range(views)]
-    return MultiViewDataset(views=out, labels=labels, view_names=names)
+    return MultiViewDataset(views=out, labels=labels)
 
 
 def _load_matrix(path, view_name):
@@ -247,14 +238,30 @@ def _load_matrix(path, view_name):
     return mat
 
 
+def load_labels(path):
+    """Integer labels from a text file holding one integer per line."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file is refused below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            labels = np.loadtxt(path, dtype=_LABEL_DTYPE, ndmin=1)
+    except OSError as exc:
+        raise DatasetError(f"cannot read label file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DatasetError(f"label file {path} is not integer-valued: {exc}") from exc
+    if labels.size == 0:
+        raise DatasetError(f"label file {path} holds no labels")
+    return labels
+
+
 def load_dataset(manifest_path):
     """Load a dataset described by a JSON manifest.
 
     The manifest declares `n`, an ordered `views` list (name, path, rows,
-    cols), and an optional `labels` path; matrix paths are resolved relative
-    to the manifest. Matrix files are plain numeric text, one row per line,
-    comma- or whitespace-separated; the labels file holds one nonnegative
-    integer per line.
+    cols; the name is optional), and an optional `labels` path; matrix
+    paths are resolved relative to the manifest. Matrix files are plain
+    numeric text, one row per line, comma- or whitespace-separated; the
+    labels file holds one nonnegative integer per line.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -264,15 +271,21 @@ def load_dataset(manifest_path):
     except json.JSONDecodeError as exc:
         raise DatasetError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
 
-    if "n" not in spec or "views" not in spec or not spec["views"]:
+    if not isinstance(spec, dict) or "n" not in spec or not spec.get("views"):
         raise DatasetError(f"manifest {manifest_path} must declare 'n' and 'views'")
     base = manifest_path.parent
-    n = int(spec["n"])
-    views, names = [], []
-    for entry in spec["views"]:
-        name = entry.get("name", entry["path"])
-        mat = _load_matrix(base / entry["path"], name)
-        declared = (int(entry["rows"]), int(entry["cols"]))
+    try:
+        n = int(spec["n"])
+        entries = [(str(e["path"]), (int(e["rows"]), int(e["cols"])),
+                    e.get("name", e["path"])) for e in spec["views"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(
+            f"manifest {manifest_path}: each view needs 'path', 'rows' and "
+            f"'cols', and 'n', 'rows' and 'cols' must be integers ({exc!r})"
+        ) from exc
+    views = []
+    for path, declared, name in entries:
+        mat = _load_matrix(base / path, name)
         if mat.shape != declared:
             raise DatasetError(
                 f"view '{name}': file shape {mat.shape} does not match "
@@ -283,17 +296,11 @@ def load_dataset(manifest_path):
                 f"view '{name}': {mat.shape[1]} samples but manifest declares n={n}"
             )
         views.append(mat)
-        names.append(name)
 
     labels = None
     if spec.get("labels"):
-        path = base / spec["labels"]
-        try:
-            labels = np.loadtxt(path, dtype=_LABEL_DTYPE, ndmin=1)
-        except OSError as exc:
-            raise DatasetError(f"cannot read labels file {path}: {exc}") from exc
-        except ValueError as exc:
-            raise DatasetError(f"labels file {path} is not integer-valued: {exc}") from exc
+        path = base / str(spec["labels"])
+        labels = load_labels(path)
         if labels.shape != (n,):
             raise DatasetError(
                 f"labels file {path} has {labels.shape[0]} entries, expected {n}"
@@ -301,6 +308,6 @@ def load_dataset(manifest_path):
         if (labels < 0).any():
             raise DatasetError(f"labels file {path} contains negative labels")
     try:
-        return MultiViewDataset(views=views, labels=labels, view_names=names)
+        return MultiViewDataset(views=views, labels=labels)
     except ValueError as exc:
         raise DatasetError(str(exc)) from exc

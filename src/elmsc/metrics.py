@@ -123,14 +123,13 @@ def all_metrics(pair):
     return (acc(pair), nmi(pair), ari(pair), pairwise_f1(pair))
 
 
-_METRIC_NAMES = ("acc", "nmi", "ari", "f1")
+METRIC_NAMES = ("acc", "nmi", "ari", "f1")  # the order of all_metrics
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-trial metric tuples plus their mean and sample standard deviation."""
+    """Mean and sample standard deviation of per-trial metric tuples."""
 
-    trials: tuple
     mean: tuple
     std: tuple
 
@@ -138,30 +137,18 @@ class EvalReport:
     def acc(self):
         return self.mean[0]
 
-    @property
-    def nmi(self):
-        return self.mean[1]
-
-    @property
-    def ari(self):
-        return self.mean[2]
-
-    @property
-    def f1(self):
-        return self.mean[3]
-
     def format(self):
         """Tabular mean+/-std percentages with two decimals."""
         cells = [
             f"{name.upper()} {m * 100:.2f}±{s * 100:.2f}"
-            for name, m, s in zip(_METRIC_NAMES, self.mean, self.std)
+            for name, m, s in zip(METRIC_NAMES, self.mean, self.std)
         ]
         return "  ".join(cells)
 
     def as_dict(self):
         return {
             name: {"mean": self.mean[i], "std": self.std[i]}
-            for i, name in enumerate(_METRIC_NAMES)
+            for i, name in enumerate(METRIC_NAMES)
         }
 
 
@@ -181,7 +168,6 @@ def aggregate_trials(trials):
     else:
         std = arr.std(axis=0, ddof=1)
     return EvalReport(
-        trials=tuple(map(tuple, arr.tolist())),
         mean=tuple(mean.tolist()),
         std=tuple(std.tolist()),
     )

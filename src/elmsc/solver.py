@@ -127,12 +127,14 @@ class ConvergenceTrace:
 
 @dataclass
 class SolverOutput:
-    """Result of `run`; the final P, H, E1 and E2 are in `state`."""
+    """Result of `run`; the final P, H, E1 and E2 are in `state`, and `data`
+    is the matrix the solve ran against (see `effective_data`)."""
 
     z: np.ndarray
     trace: ConvergenceTrace
     converged: bool
     state: AdmmState = None  # final iterate, for stationarity diagnostics
+    data: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -427,17 +429,9 @@ def _each_warning_once(log):
 
 def effective_data(xa, cfg):
     """The data matrix the solver actually optimizes against: the raw
-    augmented matrix, or its block-diagonal part under the v2 ablation."""
-    if cfg.ablation != "v2":
-        return xa.xa
-    n = xa.n_samples
-    mat = np.zeros_like(xa.xa)
-    for l in range(xa.n_views):
-        r0 = xa.block_rows[l]
-        r1 = r0 + xa.view_dims[l]
-        c0 = xa.block_cols[l]
-        mat[r0:r1, c0:c0 + n] = xa.block(l, l)
-    return mat
+    augmented matrix itself, or a new copy of its block-diagonal part under
+    the v2 ablation."""
+    return xa.block_diagonal() if cfg.ablation == "v2" else xa.xa
 
 
 def run(xa, cfg):
@@ -499,6 +493,7 @@ def run(xa, cfg):
         trace=trace,
         converged=converged,
         state=state,
+        data=mat,
     )
 
 

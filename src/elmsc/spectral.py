@@ -16,32 +16,24 @@ _LLOYD_CAP = 300
 
 
 @dataclass(frozen=True)
-class Affinity:
-    """Symmetric nonnegative similarity graph over samples."""
-
-    w: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClusteringResult:
     labels: np.ndarray
     embedding: np.ndarray
     kmeans_inertia: float
-    affinity: Affinity = None
-    laplacian: np.ndarray = None
 
 
 def affinity(zhat):
-    """W = (|Z| + |Z.T|) / 2; exactly symmetric by construction."""
+    """Symmetric nonnegative similarity graph over samples:
+    W = (|Z| + |Z.T|) / 2, exactly symmetric by construction."""
     zhat = np.asarray(zhat, dtype=np.float64)
     if zhat.ndim != 2 or zhat.shape[0] != zhat.shape[1]:
         raise ValueError(f"affinity needs a square matrix, got shape {zhat.shape}")
-    return Affinity(w=0.5 * (np.abs(zhat) + np.abs(zhat.T)))
+    return 0.5 * (np.abs(zhat) + np.abs(zhat.T))
 
 
-def laplacian(aff):
-    """Unnormalized Laplacian L = D - W with D the row-sum degree matrix."""
-    w = aff.w
+def laplacian(w):
+    """Unnormalized Laplacian L = D - W of an affinity matrix W, with D the
+    row-sum degree matrix."""
     return np.diag(w.sum(axis=1)) - w
 
 
@@ -128,14 +120,11 @@ def kmeans(points, c, restarts=10, seed=0):
 
 def cluster(zhat, c, restarts=10, seed=0):
     """Full pipeline from aggregated representation to cluster labels."""
-    aff = affinity(zhat)
-    lap = laplacian(aff)
-    f = spectral_embed(lap, c)
+    # the n x n affinity and Laplacian are not kept past the embedding
+    f = spectral_embed(laplacian(affinity(zhat)), c)
     labels, inertia = kmeans(f, c, restarts=restarts, seed=seed)
     return ClusteringResult(
         labels=labels,
         embedding=f,
         kmeans_inertia=inertia,
-        affinity=aff,
-        laplacian=lap,
     )

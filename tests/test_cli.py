@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elmsc import cli
-from elmsc.dataset import load_dataset
+from elmsc import solver
+from elmsc.dataset import AugmentedMatrix, load_dataset
 
 TINY_SPEC = {
     "clusters": 2,
@@ -174,6 +176,24 @@ def test_sweep_missing_manifest_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+@pytest.mark.parametrize("defect", ["no-path", "no-rows", "no-cols",
+                                    "n-not-int"])
+def test_malformed_manifest_is_data_error(tmp_path, capsys, command, defect):
+    path = cli.cmd_synth(TINY_SPEC, tmp_path / "data")
+    manifest = json.loads(path.read_text())
+    if defect == "n-not-int":
+        manifest["n"] = "sixteen"
+    else:
+        del manifest["views"][1][defect[3:]]
+    path.write_text(json.dumps(manifest))
+    code = cli.main([command, "--manifest", str(path), "--clusters", "2",
+                     "--latent-dim", "3", "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    assert only_error_record(capsys)["error"] == "DatasetError"
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_random_params_single_cell(tmp_path):
     cfg = tiny_config(tmp_path, random_params=True, k_grid=(3,))
     cells = cli.cmd_sweep(cfg)
@@ -273,6 +293,21 @@ def test_eval_length_mismatch(tmp_path, capsys):
     np.savetxt(a, [0, 1], fmt="%d")
     np.savetxt(b, [0, 1, 1], fmt="%d")
     assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_CONFIG
+
+
+def test_eval_empty_label_file_is_data_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    truth = tmp_path / "truth.txt"
+    np.savetxt(truth, [0, 1], fmt="%d")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["eval", str(empty), str(truth)])
+    assert code == cli.EXIT_DATA
+    record = only_error_record(capsys)
+    assert record["error"] == "DatasetError"
+    assert "no labels" in record["message"]
+    assert not caught
 
 
 def test_eval_known_case_matches_metrics(tmp_path, capsys):
@@ -383,3 +418,38 @@ def test_latent_dim_above_d_refused_before_output_and_trials(monkeypatch,
     assert [c["status"] for c in cells] == ["failed"]
     assert "latent_dim=40" in cells[0]["error"]
     assert not Path(cells[0]["report"]).parent.exists()
+
+
+# ---------------------------------------------------------------------------
+# trial plumbing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ablation,builds", [("full", 0), ("v2", 1)])
+def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
+                                                      ablation, builds):
+    # kkt_residuals reads the matrix the solve ran against from its output,
+    # so the v2 block-diagonal copy is not rebuilt for it
+    xa, labels = cli._prepare(tiny_config(tmp_path))
+    calls = []
+    block_diagonal = AugmentedMatrix.block_diagonal
+
+    def counting(self):
+        calls.append(self)
+        return block_diagonal(self)
+
+    monkeypatch.setattr(AugmentedMatrix, "block_diagonal", counting)
+    kkt_data = []
+    kkt_residuals = solver.kkt_residuals
+
+    def recording(state, xa_mat, *args):
+        kkt_data.append(xa_mat)
+        return kkt_residuals(state, xa_mat, *args)
+
+    monkeypatch.setattr(solver, "kkt_residuals", recording)
+    scfg = solver.ElmscConfig(lam=1.0, latent_dim=3, ablation=ablation)
+    record, *_ = cli._trial_job((xa, scfg, 2, 1, 0, labels))
+    assert len(calls) == builds
+    assert len(kkt_data) == 1
+    assert (kkt_data[0] is xa.xa) == (ablation == "full")
+    assert set(record["kkt"]) == {"recon", "selfrep", "aux", "e_gap", "j_gap"}
+    assert list(record["metrics"]) == ["acc", "nmi", "ari", "f1"]

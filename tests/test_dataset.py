@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from elmsc.dataset import (
     default_pca_components,
     gen_synthetic,
     load_dataset,
+    load_labels,
 )
 from elmsc.numerics import pca_reduce
 
@@ -22,24 +24,24 @@ from elmsc.numerics import pca_reduce
 
 def test_cosine_identical_unit_samples_give_unit_diagonal():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    s = cosine_similarity(x, x).s
+    s = cosine_similarity(x, x)
     assert_allclose(np.diag(s), [1.0, 1.0], atol=1e-12)
 
 
 def test_cosine_orthogonal_pair_maps_to_half():
     xp = np.array([[1.0], [0.0]])
     xq = np.array([[0.0], [1.0]])
-    assert cosine_similarity(xp, xq).s[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert cosine_similarity(xp, xq)[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_cosine_antiparallel_pair_maps_to_zero():
     xp = np.array([[1.0], [2.0]])
-    assert cosine_similarity(xp, -xp).s[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert cosine_similarity(xp, -xp)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_zero_norm_sample_is_neutral():
     xp = np.array([[0.0, 1.0], [0.0, 0.0]])
-    s = cosine_similarity(xp, xp).s
+    s = cosine_similarity(xp, xp)
     assert s[0, 0] == 0.5 and s[0, 1] == 0.5
 
 
@@ -47,8 +49,8 @@ def test_cosine_range_and_transpose_relation():
     rng = np.random.default_rng(0)
     xp = rng.standard_normal((4, 7))
     xq = rng.standard_normal((4, 7))
-    spq = cosine_similarity(xp, xq).s
-    sqp = cosine_similarity(xq, xp).s
+    spq = cosine_similarity(xp, xq)
+    sqp = cosine_similarity(xq, xp)
     assert np.all(spq >= 0) and np.all(spq <= 1)
     assert_allclose(spq, sqp.T, atol=1e-12)
 
@@ -131,6 +133,22 @@ def test_augmented_shape_and_diagonal_blocks():
     assert aug.xa.shape == (12, 27)
     for l in range(3):
         assert np.array_equal(aug.block(l, l), views[l])
+
+
+@pytest.mark.parametrize("v", [1, 2, 3])
+def test_augmented_block_diagonal_keeps_only_the_raw_views(v):
+    rng = np.random.default_rng(6)
+    views = [rng.standard_normal((d, 9)) for d in (5, 3, 4)[:v]]
+    aug = build_augmented(MultiViewDataset(views=views), 2)
+    want = np.zeros_like(aug.xa)
+    r0 = 0
+    for l, view in enumerate(views):
+        want[r0:r0 + view.shape[0], l * 9:(l + 1) * 9] = view
+        r0 += view.shape[0]
+    got = aug.block_diagonal()
+    assert np.array_equal(got, want)
+    assert got.dtype == aug.xa.dtype
+    assert not np.shares_memory(got, aug.xa)
 
 
 def test_augmented_rejects_oversized_pca():
@@ -308,3 +326,89 @@ def test_load_dataset_comma_separated(tmp_path):
     }))
     ds = load_dataset(path)
     assert np.array_equal(ds.views[0], mat)
+
+
+def drop_key(key):
+    def mutate(manifest):
+        del manifest["views"][0][key]
+    return mutate
+
+
+def set_field(key, value, view=False):
+    def mutate(manifest):
+        (manifest["views"][0] if view else manifest)[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    drop_key("path"),
+    drop_key("rows"),
+    drop_key("cols"),
+    set_field("n", "ten"),
+    set_field("rows", None, view=True),
+    set_field("cols", [6], view=True),
+    set_field("views", 5),
+    set_field("views", ["v0.txt"]),
+], ids=["no-path", "no-rows", "no-cols", "n-not-int", "rows-null",
+        "cols-list", "views-not-list", "view-not-object"])
+def test_load_dataset_malformed_manifest_is_dataset_error(tmp_path, mutate):
+    path = write_manifest(tmp_path, [np.ones((4, 6))])
+    manifest = json.loads(path.read_text())
+    mutate(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError):
+        load_dataset(path)
+
+
+def test_load_dataset_view_name_defaults_to_path(tmp_path):
+    path = write_manifest(tmp_path, [np.ones((4, 6))], declared=[(5, 6)])
+    manifest = json.loads(path.read_text())
+    del manifest["views"][0]["name"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match="view 'v0.txt'"):
+        load_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# load_labels
+# ---------------------------------------------------------------------------
+
+def test_load_labels_reads_one_integer_per_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("2\n0\n1\n")
+    labels = load_labels(path)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# no labels here\n"])
+def test_load_labels_refuses_empty_file_without_warning(tmp_path, text):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DatasetError, match="no labels"):
+            load_labels(path)
+    assert not caught
+
+
+def test_load_dataset_refuses_empty_labels_file(tmp_path):
+    path = write_manifest(tmp_path, [np.ones((4, 6))])
+    manifest = json.loads(path.read_text())
+    (tmp_path / "labels.txt").write_text("")
+    manifest["labels"] = "labels.txt"
+    path.write_text(json.dumps(manifest))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DatasetError, match="no labels"):
+            load_dataset(path)
+    assert not caught
+
+
+def test_load_labels_non_integer_and_missing(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n1.5\n")
+    with pytest.raises(DatasetError, match="integer"):
+        load_labels(path)
+    with pytest.raises(DatasetError, match="cannot read"):
+        load_labels(tmp_path / "gone.txt")

@@ -847,6 +847,15 @@ def test_kkt_gaps_small_for_v2_ablation_against_effective_data():
     assert raw.recon > 10 * cfg.tol
 
 
+def test_run_records_the_matrix_it_solved_against():
+    _, xa = noiseless_two_cluster_aug(seed=13)
+    cfg = ElmscConfig(lam=1.0, latent_dim=4, seed=13, max_iter=2)
+    assert run(xa, cfg).data is xa.xa  # under full: no copy
+    v2 = run(xa, dataclasses.replace(cfg, ablation="v2"))
+    assert np.array_equal(v2.data, xa.block_diagonal())
+    assert not np.shares_memory(v2.data, xa.xa)
+
+
 def test_kkt_l21_membership_active_columns():
     rng = np.random.default_rng(28)
     st, xa = zero_residual_state(rng, d=4, k=2, v=1, n=3)

@@ -3,11 +3,14 @@
 import importlib.util
 from pathlib import Path
 
+import elmsc
 import elmsc.solver as solver
 from elmsc.dataset import build_augmented, gen_synthetic
 from elmsc.solver import ElmscConfig
 
-TRACED_CLUSTER = Path(__file__).resolve().parents[1] / "bench" / "traced_cluster.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACED_CLUSTER = ROOT / "bench" / "traced_cluster.py"
+README = ROOT / "README.md"
 
 # calls per iteration that `run` makes to each traced solver-module layer
 PER_ITERATION = {
@@ -107,3 +110,19 @@ def test_traced_benchmark_hooks_on_the_cg_h_step():
     assert calls["solver.update_h"] == 3
     assert calls["numerics.spd_solve"] == 3
     assert tracer.spd_gflop > 0
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in elmsc.__all__ if not hasattr(elmsc, name)]
+    assert not missing, missing
+    assert len(set(elmsc.__all__)) == len(elmsc.__all__)
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    # the README's `## Library` block is the library's documented entry
+    # point; a removed or renamed name it uses must fail here
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    acc, nmi = (float(x) for x in capsys.readouterr().out.split())
+    assert 0.9 <= acc <= 1.0 and 0.9 <= nmi <= 1.0
