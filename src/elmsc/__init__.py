@@ -17,7 +17,6 @@ from .dataset import (
     load_dataset,
 )
 from .metrics import (
-    EvalReport,
     LabelPair,
     acc,
     aggregate_trials,
@@ -58,7 +57,6 @@ __all__ = [
     "ConvergenceTrace",
     "DatasetError",
     "ElmscConfig",
-    "EvalReport",
     "KktReport",
     "LabelPair",
     "MultiViewDataset",

@@ -36,7 +36,6 @@ EXIT_NUMERIC = 3
 
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_K_GRID = (50, 100, 150, 200)
-DEFAULT_LATENT_DIM = 100
 
 
 @dataclass
@@ -48,7 +47,7 @@ class RunConfig:
     manifest: str = None
     synthetic: dict = None
     lam: float = 1.0
-    latent_dim: int = DEFAULT_LATENT_DIM
+    latent_dim: int = 100
     trials: int = 10
     seed: int = 0
     ablation: str = "full"
@@ -167,8 +166,8 @@ def _draw_params(cfg):
 
 def _prepare(cfg):
     """The part of a run that lambda and latent_dim do not change: load or
-    generate the dataset, check its labels, build the augmented matrix.
-    Returns (augmented matrix, labels or None)."""
+    generate the dataset, check its labels and cluster count, and return
+    the augmented matrix and the labels (None when there are none)."""
     data = _load_or_generate(cfg)
     labels = data.labels
     if labels is not None and len(np.unique(labels)) < 2:
@@ -220,7 +219,7 @@ def _run_trials(cfg, xa, labels):
 
     aggregate = None
     if trial_tuples:
-        aggregate = metrics_mod.aggregate_trials(trial_tuples).as_dict()
+        aggregate = metrics_mod.aggregate_trials(trial_tuples)
 
     # the output directory differs between otherwise identical runs, and
     # the grids matter only to the draw, which random_draw records
@@ -274,7 +273,6 @@ def cmd_sweep(cfg):
             summaries.append(cell)
             continue
         cell["status"] = "ok"
-        cell["random_params"] = cfg.random_params
         if report["aggregate"] is not None:
             for name, stats in report["aggregate"].items():
                 cell[f"{name}_mean"] = stats["mean"]
@@ -285,35 +283,15 @@ def cmd_sweep(cfg):
              for stat in ("mean", "std")]
     columns = ["lambda", "latent_dim", "status", *stats, "report", "error"]
     with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for cell in summaries:
-            writer.writerow({k: cell.get(k, "") for k in columns})
+        writer.writerows(summaries)
     return summaries
 
 
 def cmd_synth(spec, out_dir):
     """Write a synthetic dataset (views, labels, manifest) to out_dir."""
-    data = _synthetic_dataset(spec)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, view in enumerate(data.views):
-        name = f"view{i}"
-        fname = f"{name}.txt"
-        # 17 significant digits so reloading reproduces float64 exactly
-        np.savetxt(out / fname, view, fmt="%.17e")
-        entries.append({
-            "name": name,
-            "path": fname,
-            "rows": view.shape[0],
-            "cols": view.shape[1],
-        })
-    np.savetxt(out / "labels.txt", data.labels, fmt="%d")
-    manifest = {"n": data.n_samples, "views": entries, "labels": "labels.txt"}
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return ds_mod.save_dataset(_synthetic_dataset(spec), out_dir)
 
 
 def cmd_eval(predicted_path, truth_path):
@@ -338,16 +316,15 @@ def _add_common(p):
     p.add_argument("--manifest", help="dataset manifest (JSON)")
     p.add_argument("--synthetic", help="inline synthetic dataset spec (JSON)")
     p.add_argument("--clusters", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="sparsity weight (default 1.0)")
-    p.add_argument("--latent-dim", type=int, default=DEFAULT_LATENT_DIM)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda", dest="lam", type=float,
+                   help=f"sparsity weight (default {RunConfig.lam})")
+    p.add_argument("--latent-dim", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--ablation", choices=("full", "v1", "v2"), default="full")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--restarts", type=int, default=10,
-                   help="k-means restarts per trial")
+    p.add_argument("--ablation", choices=solver_mod.ABLATIONS)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--restarts", type=int, help="k-means restarts per trial")
     p.add_argument("--random-params", action="store_true",
                    help="draw lambda and latent-dim uniformly from the grids")
 
@@ -357,15 +334,15 @@ def build_parser():
                      description="Multi-view subspace clustering pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cluster = sub.add_parser("cluster", help="run end-to-end trials")
+    p_cluster = sub.add_parser("cluster", help="run end-to-end trials",
+                               argument_default=argparse.SUPPRESS)
     _add_common(p_cluster)
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep over lambda and latent dim")
+    p_sweep = sub.add_parser("sweep", help="grid sweep over lambda and latent dim",
+                             argument_default=argparse.SUPPRESS)
     _add_common(p_sweep)
-    p_sweep.add_argument("--lambda-grid", type=float, nargs="+",
-                         default=list(DEFAULT_LAMBDA_GRID))
-    p_sweep.add_argument("--k-grid", type=int, nargs="+",
-                         default=list(DEFAULT_K_GRID))
+    p_sweep.add_argument("--lambda-grid", type=float, nargs="+")
+    p_sweep.add_argument("--k-grid", type=int, nargs="+")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--spec", required=True,
@@ -390,11 +367,11 @@ def _parse_json_arg(text, what):
 
 def _run_config_from_args(args):
     """RunConfig from the parsed arguments, each field from the dest of its
-    name; the cluster parser has no grid options, so they keep defaults."""
+    name; a field whose option was not given keeps its RunConfig default."""
     kwargs = {f.name: getattr(args, f.name) for f in fields(RunConfig)
               if hasattr(args, f.name)}
-    if args.synthetic is not None:
-        kwargs["synthetic"] = _parse_json_arg(args.synthetic, "--synthetic")
+    if "synthetic" in kwargs:
+        kwargs["synthetic"] = _parse_json_arg(kwargs["synthetic"], "--synthetic")
     return RunConfig(**kwargs)
 
 

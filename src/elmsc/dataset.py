@@ -1,4 +1,4 @@
-"""Multi-view data handling: loading, cross-view similarity, augmented matrix.
+"""Multi-view data handling: file I/O, cross-view similarity, augmented matrix.
 
 A dataset is a list of view matrices (features x samples, all sharing the
 sample axis). The augmented matrix stacks the raw views on its diagonal
@@ -147,7 +147,7 @@ def build_augmented(ds, pca_components, identity_similarity=False):
         )
     v, n = ds.n_views, ds.n_samples
     if not identity_similarity and v > 1:
-        aligned = [pca_reduce(x, pca_components)[0] for x in ds.views]
+        aligned = [pca_reduce(x, pca_components) for x in ds.views]
         sim = {}
         for p in range(v):
             for q in range(p + 1, v):
@@ -173,8 +173,9 @@ def build_augmented(ds, pca_components, identity_similarity=False):
 
 def default_pca_components(clusters, ds):
     """Component count for view alignment: 6 per cluster, clipped to validity."""
-    if clusters < 1:
-        raise ValueError(f"clusters must be positive, got {clusters}")
+    if not 1 <= clusters <= ds.n_samples:
+        raise ValueError(f"clusters={clusters} outside [1, {ds.n_samples}], "
+                         "the sample count")
     return min(clusters * 6, ds.n_samples - 1, min(ds.view_dims))
 
 
@@ -254,6 +255,35 @@ def load_labels(path):
     return labels
 
 
+def _count(value):
+    if type(value) is not int:  # not isinstance: it would let True through
+        raise TypeError(f"{value!r} is not a JSON integer")
+    return value
+
+
+def save_dataset(ds, out_dir):
+    """Write a labeled dataset as load_dataset reads it (view files,
+    labels.txt, manifest.json) and return the manifest path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for i, view in enumerate(ds.views):
+        fname = f"view{i}.txt"
+        # 17 significant digits so reloading reproduces float64 exactly
+        np.savetxt(out / fname, view, fmt="%.17e")
+        entries.append({
+            "name": f"view{i}",
+            "path": fname,
+            "rows": view.shape[0],
+            "cols": view.shape[1],
+        })
+    np.savetxt(out / "labels.txt", ds.labels, fmt="%d")
+    manifest = {"n": ds.n_samples, "views": entries, "labels": "labels.txt"}
+    path = out / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def load_dataset(manifest_path):
     """Load a dataset described by a JSON manifest.
 
@@ -275,8 +305,8 @@ def load_dataset(manifest_path):
         raise DatasetError(f"manifest {manifest_path} must declare 'n' and 'views'")
     base = manifest_path.parent
     try:
-        n = int(spec["n"])
-        entries = [(str(e["path"]), (int(e["rows"]), int(e["cols"])),
+        n = _count(spec["n"])
+        entries = [(str(e["path"]), (_count(e["rows"]), _count(e["cols"])),
                     e.get("name", e["path"])) for e in spec["views"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(

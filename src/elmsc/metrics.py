@@ -126,34 +126,8 @@ def all_metrics(pair):
 METRIC_NAMES = ("acc", "nmi", "ari", "f1")  # the order of all_metrics
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Mean and sample standard deviation of per-trial metric tuples."""
-
-    mean: tuple
-    std: tuple
-
-    @property
-    def acc(self):
-        return self.mean[0]
-
-    def format(self):
-        """Tabular mean+/-std percentages with two decimals."""
-        cells = [
-            f"{name.upper()} {m * 100:.2f}±{s * 100:.2f}"
-            for name, m, s in zip(METRIC_NAMES, self.mean, self.std)
-        ]
-        return "  ".join(cells)
-
-    def as_dict(self):
-        return {
-            name: {"mean": self.mean[i], "std": self.std[i]}
-            for i, name in enumerate(METRIC_NAMES)
-        }
-
-
 def aggregate_trials(trials):
-    """Mean and sample standard deviation (n-1 denominator) per metric.
+    """{name: {"mean", "std"}} per metric, std with the n-1 denominator.
 
     A single trial reports std 0.0 so the mean+/-std presentation stays total.
     """
@@ -167,7 +141,5 @@ def aggregate_trials(trials):
         std = np.zeros(4)
     else:
         std = arr.std(axis=0, ddof=1)
-    return EvalReport(
-        mean=tuple(mean.tolist()),
-        std=tuple(std.tolist()),
-    )
+    return {name: {"mean": m, "std": s}
+            for name, m, s in zip(METRIC_NAMES, mean.tolist(), std.tolist())}

@@ -6,7 +6,6 @@ operators are implemented here directly.
 """
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -24,7 +23,6 @@ class SylvesterSingularError(NumericalError):
     def __init__(self, alpha, beta, i, j):
         self.alpha = alpha
         self.beta = beta
-        self.pair = (i, j)
         super().__init__(
             f"singular Sylvester spectrum: alpha[{i}]={alpha:.6e} + "
             f"beta[{j}]={beta:.6e} = {alpha + beta:.6e}"
@@ -48,25 +46,8 @@ def _as_matrix(m, name="matrix"):
     return m
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD m = u @ diag(s) @ vt with s nonincreasing."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-
-
-@dataclass(frozen=True)
-class SymEigFactors:
-    """Symmetric eigendecomposition m = q @ diag(lam) @ q.T, lam nondecreasing."""
-
-    q: np.ndarray
-    lam: np.ndarray
-
-
 def svd(m):
-    """Thin singular value decomposition of a dense matrix."""
+    """Thin SVD of a dense matrix as numpy's (u, s, vt), s nonincreasing."""
     m = _as_matrix(m)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
@@ -74,11 +55,11 @@ def svd(m):
         raise NumericalError(
             f"SVD failed to converge on a {m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
-    return SvdFactors(u=u, s=s, vt=vt)
+    return u, s, vt
 
 
 def sym_eig(m):
-    """Eigendecomposition of a (numerically) symmetric matrix.
+    """Eigenvalues, ascending, and eigenvectors (lam, q) of a symmetric matrix.
 
     The input is symmetrized internally; asymmetry beyond
     1e-8 * max|m| is rejected as a contract violation.
@@ -100,7 +81,7 @@ def sym_eig(m):
         raise NumericalError(
             f"eigendecomposition failed on a {m.shape[0]}x{m.shape[0]} matrix"
         ) from exc
-    return SymEigFactors(q=q, lam=lam)
+    return lam, q
 
 
 def solve_sylvester(a, b, c, singular_tol=1e-12):
@@ -119,15 +100,15 @@ def solve_sylvester(a, b, c, singular_tol=1e-12):
         raise ValueError(
             f"c must be {a.shape[0]}x{b.shape[0]}, got {c.shape[0]}x{c.shape[1]}"
         )
-    ea = sym_eig(a)
-    eb = sym_eig(b)
-    denom = ea.lam[:, None] + eb.lam[None, :]
+    lam_a, qa = sym_eig(a)
+    lam_b, qb = sym_eig(b)
+    denom = lam_a[:, None] + lam_b[None, :]
     bad = np.abs(denom) <= singular_tol
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise SylvesterSingularError(ea.lam[i], eb.lam[j], int(i), int(j))
-    f = ea.q.T @ c @ eb.q
-    return ea.q @ (f / denom) @ eb.q.T
+        raise SylvesterSingularError(lam_a[i], lam_b[j], int(i), int(j))
+    f = qa.T @ c @ qb
+    return qa @ (f / denom) @ qb.T
 
 
 def orthogonal_procrustes(k):
@@ -140,13 +121,13 @@ def orthogonal_procrustes(k):
     r, c = k.shape
     if r > c:
         raise ValueError(f"procrustes input must have rows <= cols, got {r}x{c}")
-    f = svd(k)
-    if f.s[-1] <= 1e-12 * max(f.s[0], 1e-300):
+    u, s, vt = svd(k)
+    if s[-1] <= 1e-12 * max(s[0], 1e-300):
         logger.warning(
             "rank-deficient procrustes input (%dx%d, smallest singular value %.3e)",
-            r, c, f.s[-1],
+            r, c, s[-1],
         )
-    return f.u @ f.vt
+    return u @ vt
 
 
 def soft_threshold(m, eta, out=None):
@@ -195,8 +176,7 @@ def pca_reduce(x, m):
     """Project samples (columns of x) onto the top-m principal directions.
 
     Columns are centered by the feature-wise mean first. Returns the m x n
-    reduced matrix and the retained variance fraction (sum of kept component
-    variances over the total variance).
+    reduced matrix.
     """
     x = _as_matrix(x, "x")
     n_feat, n_samp = x.shape
@@ -207,16 +187,11 @@ def pca_reduce(x, m):
             f"{n_feat}x{n_samp} sample matrix"
         )
     centered = x - x.mean(axis=1, keepdims=True)
-    f = svd(centered) if centered.any() else None
-    if f is None:
+    if not centered.any():
         # constant data: zero variance everywhere, projection is trivial
-        return np.zeros((m, n_samp)), 1.0
-    reduced = f.u[:, :m].T @ centered
-    total = float(np.sum(f.s**2))
-    if total == 0.0:
-        return reduced, 1.0
-    retained = float(np.sum(f.s[:m] ** 2) / total)
-    return reduced, min(retained, 1.0)
+        return np.zeros((m, n_samp))
+    u = svd(centered)[0]
+    return u[:, :m].T @ centered
 
 
 # gram_cg_solve's stopping rule: relative residual per row, and the

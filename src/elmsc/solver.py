@@ -30,7 +30,7 @@ from .numerics import (
 )
 from .numerics import logger as numerics_logger
 
-_ABLATIONS = ("full", "v1", "v2")
+ABLATIONS = ("full", "v1", "v2")
 
 
 @dataclass
@@ -67,9 +67,9 @@ class ElmscConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if self.ablation not in _ABLATIONS:
+        if self.ablation not in ABLATIONS:
             raise ValueError(
-                f"ablation must be one of {_ABLATIONS}, got {self.ablation!r}"
+                f"ablation must be one of {ABLATIONS}, got {self.ablation!r}"
             )
 
     @property
@@ -339,14 +339,11 @@ def update_j(state, lam, v, n, out=None, tmp=None):
     """Auxiliary step: keep diagonal blocks, shrink off-diagonal entries.
 
     The result goes to `out` when given, and `tmp` takes a second vn x vn
-    buffer for M = Z - Y3/mu (with lam == 0, J is M, formed in `out`).
-    `out` may be J's own buffer, since the step does not read J; neither may
-    be Z or Y3, which it reads, nor may the two be the same.
+    buffer for M = Z - Y3/mu. `out` may be J's own buffer: the step does
+    not read J. Neither may be Z or Y3, which it reads, nor each other.
     """
-    m = np.divide(state.y3, state.mu, out=out if lam == 0.0 else tmp)
+    m = np.divide(state.y3, state.mu, out=tmp)
     np.subtract(state.z, m, out=m)
-    if lam == 0.0:
-        return m
     j = soft_threshold(m, lam / state.mu, out=out)
     jb, mb = j.reshape(v, n, v, n), m.reshape(v, n, v, n)
     for i in range(v):

@@ -44,7 +44,7 @@ def spectral_embed(l, c):
     n = l.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"embedding dimension {c} outside [1, {n}]")
-    return sym_eig(l).q[:, :c]
+    return sym_eig(l)[1][:, :c]
 
 
 def _greedy_seed(points, c, rng):

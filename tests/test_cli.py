@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import warnings
@@ -353,12 +354,20 @@ def test_every_run_config_field_is_a_parser_dest():
     # RunConfig is filled from the dests of the same names, so a field
     # added on one side only must fail here
     parser = cli.build_parser()
-    common = ["--clusters", "2", "--out", "x"]
-    sweep = vars(parser.parse_args(["sweep", *common]))
-    cluster = vars(parser.parse_args(["cluster", *common]))
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+
+    def dests(command):
+        return {a.dest for a in subparsers.choices[command]._actions}
+
     names = {f.name for f in dataclasses.fields(cli.RunConfig)}
-    assert names <= sweep.keys()
-    assert names - {"lambda_grid", "k_grid"} <= cluster.keys()
+    assert names <= dests("sweep")
+    assert names - {"lambda_grid", "k_grid"} <= dests("cluster")
+    # an option that is not given sets no value, so RunConfig's default holds
+    common = ["--clusters", "2", "--out", "x"]
+    for command in ("cluster", "sweep"):
+        args = vars(parser.parse_args([command, *common]))
+        assert args == {"command": command, "clusters": 2, "out": "x"}
 
 
 def test_zero_restarts_rejected_before_data_is_loaded(tmp_path, capsys):
@@ -418,6 +427,24 @@ def test_latent_dim_above_d_refused_before_output_and_trials(monkeypatch,
     assert [c["status"] for c in cells] == ["failed"]
     assert "latent_dim=40" in cells[0]["error"]
     assert not Path(cells[0]["report"]).parent.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+def test_clusters_above_sample_count_refused_before_output_and_trials(
+        monkeypatch, tmp_path, capsys, command):
+    # unchecked, the spectral step would refuse it only after a full solve
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_trial_job", no_trial)
+    n = TINY_SPEC["clusters"] * TINY_SPEC["per_cluster"]
+    k = ["--k-grid", "3"] if command == "sweep" else ["--latent-dim", "3"]
+    code = cli.main([command, "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", str(n + 1), *k, "--out",
+                     str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert f"clusters={n + 1}" in only_error_record(capsys)["message"]
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

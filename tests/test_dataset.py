@@ -119,7 +119,7 @@ def test_augmented_offdiagonal_blocks_match_recomputation():
     )
     m = 3
     aug = build_augmented(ds, m)
-    aligned = [pca_reduce(v, m)[0] for v in ds.views]
+    aligned = [pca_reduce(v, m) for v in ds.views]
     s01 = loop_cosine_oracle(aligned[0], aligned[1])
     assert_allclose(aug.block(0, 1), ds.views[0] @ s01, atol=1e-12)
     assert_allclose(aug.block(1, 0), ds.views[1] @ s01.T, atol=1e-12)
@@ -349,8 +349,16 @@ def set_field(key, value, view=False):
     set_field("cols", [6], view=True),
     set_field("views", 5),
     set_field("views", ["v0.txt"]),
+    # counts are JSON integers: int() would read the first four as the
+    # declared 6 and 4, and True as 1
+    set_field("n", 6.5),
+    set_field("rows", 4.2, view=True),
+    set_field("rows", 4.0, view=True),
+    set_field("n", "6"),
+    set_field("cols", True, view=True),
 ], ids=["no-path", "no-rows", "no-cols", "n-not-int", "rows-null",
-        "cols-list", "views-not-list", "view-not-object"])
+        "cols-list", "views-not-list", "view-not-object", "n-fraction",
+        "rows-fraction", "rows-float", "n-string", "cols-bool"])
 def test_load_dataset_malformed_manifest_is_dataset_error(tmp_path, mutate):
     path = write_manifest(tmp_path, [np.ones((4, 6))])
     manifest = json.loads(path.read_text())

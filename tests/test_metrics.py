@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from elmsc.metrics import (
+    METRIC_NAMES,
     LabelPair,
     acc,
     aggregate_trials,
@@ -262,35 +263,29 @@ def test_all_metrics_relabeling_invariant():
 
 def test_aggregate_single_trial_zero_std():
     report = aggregate_trials([(0.9, 0.8, 0.7, 0.6)])
-    assert report.std == (0.0, 0.0, 0.0, 0.0)
-    assert report.acc == pytest.approx(0.9)
-    assert "0.00" in report.format()
+    assert [report[name]["std"] for name in METRIC_NAMES] == [0.0] * 4
+    assert report["acc"]["mean"] == pytest.approx(0.9)
 
 
 def test_aggregate_two_point_formula():
     report = aggregate_trials([(0.9, 0.9, 0.9, 0.9), (1.0, 1.0, 1.0, 1.0)])
-    assert report.acc == pytest.approx(0.95)
-    assert report.std[0] == pytest.approx(math.sqrt(0.005), abs=1e-12)
-    assert report.std[0] == pytest.approx(0.0707, abs=1e-4)
+    assert report["acc"]["mean"] == pytest.approx(0.95)
+    assert report["acc"]["std"] == pytest.approx(math.sqrt(0.005), abs=1e-12)
+    assert report["acc"]["std"] == pytest.approx(0.0707, abs=1e-4)
 
 
 def test_aggregate_matches_statistics_module():
     rng = np.random.default_rng(7)
     trials = [tuple(rng.uniform(0, 1, size=4)) for _ in range(10)]
     report = aggregate_trials(trials)
-    for i in range(4):
+    for i, name in enumerate(METRIC_NAMES):
         column = [t[i] for t in trials]
-        assert report.mean[i] == pytest.approx(statistics.fmean(column), abs=1e-12)
-        assert report.std[i] == pytest.approx(statistics.stdev(column), abs=1e-12)
+        assert report[name]["mean"] == pytest.approx(statistics.fmean(column),
+                                                     abs=1e-12)
+        assert report[name]["std"] == pytest.approx(statistics.stdev(column),
+                                                    abs=1e-12)
 
 
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
         aggregate_trials([])
-
-
-def test_report_format_percent_layout():
-    report = aggregate_trials([(1.0, 0.5, 0.25, 0.125)])
-    text = report.format()
-    assert "ACC 100.00±0.00" in text
-    assert "NMI 50.00±0.00" in text

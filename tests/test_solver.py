@@ -623,7 +623,7 @@ def dropping_buffers(fn):
 @pytest.mark.parametrize("view_dims,views,ablation", [
     ([40, 30], 2, "full"),      # d = 70 > vn = 36
     ([8, 6, 7], 3, "full"),     # d = 21 < vn = 90
-    ([8, 6, 7], 3, "v1"),       # J is M, formed straight in J's buffer
+    ([8, 6, 7], 3, "v1"),       # lam = 0: J shrinks by a zero threshold
 ], ids=["wide", "tall", "tall-v1"])
 def test_run_buffer_reuse_is_bit_identical(monkeypatch, view_dims, views,
                                            ablation):
