@@ -13,6 +13,7 @@ failure.
 import argparse
 import concurrent.futures
 import csv
+import inspect
 import json
 import sys
 import time
@@ -74,42 +75,15 @@ class RunConfig:
         self.k_grid = tuple(self.k_grid)
 
 
-def _int_list(value):
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return [int(x) for x in value]
-
-
-# (field, conversion, default; None when the field is required)
-_SPEC_FIELDS = (
-    ("clusters", int, None),
-    ("per_cluster", int, None),
-    ("views", int, None),
-    ("latent_dim", int, None),
-    ("view_dims", _int_list, None),
-    ("noise_sigma", float, 0.0),
-    ("seed", int, 0),
-)
-
-
 def _synthetic_dataset(spec):
     """Generate the dataset a synthetic spec (a parsed JSON object) describes.
-
-    Raises ValueError naming the field when a required one is missing or one
-    has the wrong type.
-    """
-    kwargs = {}
-    for name, convert, default in _SPEC_FIELDS:
-        if name not in spec and default is None:
-            raise ValueError(f"synthetic spec is missing the '{name}' field")
-        value = spec.get(name, default)
-        try:
-            kwargs[name] = convert(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"synthetic spec field '{name}' has the wrong type: {value!r}"
-            ) from exc
-    return ds_mod.gen_synthetic(**kwargs)
+    Its fields are gen_synthetic's arguments, which checks their values; a
+    missing or unknown field is a ValueError that names it."""
+    try:
+        inspect.signature(ds_mod.gen_synthetic).bind(**spec)
+    except TypeError as exc:
+        raise ValueError(f"synthetic spec: {exc}") from exc
+    return ds_mod.gen_synthetic(**spec)
 
 
 def _load_or_generate(cfg):
@@ -247,25 +221,27 @@ def cmd_sweep(cfg):
     With random_params a single uniformly drawn cell runs instead of the
     full grid. Returns the list of cell summaries.
     """
-    xa, labels = _prepare(cfg)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if cfg.random_params:
         cells = [_draw_params(cfg)]
     else:
         cells = [(lam, k) for lam in cfg.lambda_grid for k in cfg.k_grid]
+    names = [f"cell_lam{lam:g}_k{k}" for lam, k in cells]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"two grid cells would share the directory {name}")
+    xa, labels = _prepare(cfg)
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     summaries = []
-    for lam, k in cells:
-        cell_dir = out_dir / f"cell_lam{lam:g}_k{k}"
+    for (lam, k), name in zip(cells, names):
+        cell_dir = out_dir / name
         cell = {
             "lambda": lam,
             "latent_dim": k,
             "report": str(cell_dir / "report.json"),
         }
-        cell_cfg = replace(cfg, out=str(cell_dir), lam=lam, latent_dim=k,
-                           random_params=False)
+        cell_cfg = replace(cfg, out=str(cell_dir), lam=lam, latent_dim=k)
         try:
             report = _run_trials(cell_cfg, xa, labels)
         except (ValueError, NumericalError, OSError) as exc:

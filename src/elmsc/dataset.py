@@ -6,6 +6,7 @@ blocks and similarity-weighted cross-view products off the diagonal.
 """
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,8 +180,15 @@ def default_pca_components(clusters, ds):
     return min(clusters * 6, ds.n_samples - 1, min(ds.view_dims))
 
 
+def _number(value, name, kind=numbers.Integral):
+    """`value` if it is a `kind` but not a bool, else ValueError naming it."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"'{name}' must be {kind.__name__.lower()}, not {value!r}")
+    return value
+
+
 def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
-                  noise_sigma, seed):
+                  noise_sigma=0.0, seed=0):
     """Generate a labeled multi-view dataset from a shared latent space.
 
     Cluster centers are drawn in the latent space; each cluster's points vary
@@ -188,18 +196,27 @@ def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
     of the latent dimensions), so without noise every cluster's samples occupy
     a distinct affine subspace in every view. Each view applies its own random
     linear map plus Gaussian noise of scale `noise_sigma`.
+
+    Counts, seed and `view_dims` entries must be integers and `noise_sigma`
+    a real number, none of them a bool; ValueError names a field that is not.
     """
+    if not isinstance(view_dims, list):
+        raise ValueError(f"'view_dims' must be a list, got {view_dims!r}")
+    for name, value in (("clusters", clusters), ("per_cluster", per_cluster),
+                        ("views", views), ("latent_dim", latent_dim),
+                        ("seed", seed), *(("view_dims", d) for d in view_dims)):
+        _number(value, name)
+    if _number(noise_sigma, "noise_sigma", numbers.Real) < 0:
+        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     if views != len(view_dims):
         raise ValueError(f"views={views} but {len(view_dims)} view_dims given")
-    if clusters < 1 or per_cluster < 1 or latent_dim < 1:
-        raise ValueError("clusters, per_cluster, and latent_dim must be positive")
+    if clusters < 1 or per_cluster < 1 or views < 1 or latent_dim < 1:
+        raise ValueError("clusters, per_cluster, views and latent_dim must be positive")
     if latent_dim > min(view_dims):
         raise ValueError(
             f"latent_dim={latent_dim} exceeds the smallest view dimension "
             f"{min(view_dims)}"
         )
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
 
     rng = rng_from(seed)
     sub_dim = max(1, latent_dim // 3)
@@ -255,12 +272,6 @@ def load_labels(path):
     return labels
 
 
-def _count(value):
-    if type(value) is not int:  # not isinstance: it would let True through
-        raise TypeError(f"{value!r} is not a JSON integer")
-    return value
-
-
 def save_dataset(ds, out_dir):
     """Write a labeled dataset as load_dataset reads it (view files,
     labels.txt, manifest.json) and return the manifest path."""
@@ -305,8 +316,9 @@ def load_dataset(manifest_path):
         raise DatasetError(f"manifest {manifest_path} must declare 'n' and 'views'")
     base = manifest_path.parent
     try:
-        n = _count(spec["n"])
-        entries = [(str(e["path"]), (_count(e["rows"]), _count(e["cols"])),
+        n = _number(spec["n"], "n")
+        entries = [(str(e["path"]),
+                    (_number(e["rows"], "rows"), _number(e["cols"], "cols")),
                     e.get("name", e["path"])) for e in spec["views"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(

@@ -166,6 +166,28 @@ def test_sweep_cell_failure_does_not_abort(tmp_path):
     assert status[50] == "failed"
 
 
+@pytest.mark.parametrize("flag,grid", [
+    ("--lambda-grid", ["1", "1"]),
+    ("--lambda-grid", ["1.0000001", "1.0000002"]),  # both print as lam1
+    ("--lambda-grid", ["1", "0.001", "1e-3"]),
+    ("--k-grid", ["3", "3"]),
+])
+def test_sweep_cells_sharing_a_directory_refused_before_any_cell(
+        monkeypatch, tmp_path, capsys, flag, grid):
+    def no_trial(payload):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "_trial_job", no_trial)
+    code = cli.main(["sweep", "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--k-grid", "3", "--trials", "1",
+                     flag, *grid, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = only_error_record(capsys)
+    assert err["error"] == "ValueError"
+    assert "cell_lam" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_missing_manifest_is_data_error(tmp_path, capsys):
     code = cli.main([
         "sweep", "--manifest", str(tmp_path / "nope.json"), "--clusters", "2",
@@ -201,6 +223,17 @@ def test_sweep_random_params_single_cell(tmp_path):
     assert len(cells) == 1
     assert cells[0]["latent_dim"] == 3
     assert cells[0]["lambda"] in cli.DEFAULT_LAMBDA_GRID
+
+
+def test_sweep_random_params_report_records_the_draw(tmp_path):
+    cfg = tiny_config(tmp_path, random_params=True, k_grid=(3,))
+    [cell] = cli.cmd_sweep(cfg)
+    conf = json.loads(Path(cell["report"]).read_text())["config"]
+    assert conf["random_params"] is True
+    drawn = (cell["lambda"], cell["latent_dim"])
+    assert (conf["random_draw"]["lambda"],
+            conf["random_draw"]["latent_dim"]) == drawn
+    assert (conf["lambda"], conf["latent_dim"]) == drawn
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +293,35 @@ def test_synth_missing_field_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+# (field, value): the values the manifest loader refuses as counts, plus a
+# wrong container, a non-numeric noise level and a misspelt field
+BAD_SPEC_FIELDS = [
+    ("view_dims", 5),
+    ("clusters", 2.5),
+    ("per_cluster", 4.0),
+    ("per_cluster", "16"),
+    ("seed", True),
+    ("view_dims", [8.9, 6]),
+    ("noise_sigma", "0.1"),
+    ("noise_sgima", 0.1),
+]
+
+
 @pytest.mark.parametrize("command", ["synth", "cluster"])
 def test_spec_field_of_wrong_type_is_config_error(tmp_path, capsys, command):
-    spec = json.dumps(dict(TINY_SPEC, view_dims=5))
-    if command == "synth":
-        argv = ["synth", "--spec", spec, "--out", str(tmp_path / "data")]
-    else:
-        argv = ["cluster", "--synthetic", spec, "--clusters", "2",
-                "--out", str(tmp_path / "o")]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    err = only_error_record(capsys)
-    assert err["error"] == "ValueError"
-    assert "'view_dims'" in err["message"]
+    for i, (name, value) in enumerate(BAD_SPEC_FIELDS):
+        spec = json.dumps(dict(TINY_SPEC, **{name: value}))
+        out = tmp_path / f"out{i}"
+        if command == "synth":
+            argv = ["synth", "--spec", spec, "--out", str(out)]
+        else:
+            argv = ["cluster", "--synthetic", spec, "--clusters", "2",
+                    "--latent-dim", "3", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG, (name, value)
+        err = only_error_record(capsys)
+        assert err["error"] == "ValueError"
+        assert f"'{name}'" in err["message"], (name, value, err)
+        assert not out.exists(), (name, value)
 
 
 # ---------------------------------------------------------------------------

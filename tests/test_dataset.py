@@ -233,6 +233,29 @@ def test_synthetic_precondition_errors():
         gen_synthetic(2, 5, views=2, latent_dim=3, view_dims=[4], noise_sigma=0, seed=0)
     with pytest.raises(ValueError):
         gen_synthetic(2, 5, views=1, latent_dim=9, view_dims=[4], noise_sigma=0, seed=0)
+    with pytest.raises(ValueError, match="views and latent_dim must be positive"):
+        gen_synthetic(2, 5, views=0, latent_dim=3, view_dims=[])
+
+
+def test_synthetic_defaults_and_numpy_integers():
+    a = gen_synthetic(2, 5, views=1, latent_dim=3, view_dims=[4])
+    b = gen_synthetic(np.int64(2), 5, views=np.int32(1), latent_dim=3,
+                      view_dims=[np.int64(4)], noise_sigma=np.float64(0.0),
+                      seed=np.int64(0))
+    assert np.array_equal(a.views[0], b.views[0])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("clusters", 2.0), ("per_cluster", True), ("seed", 1.5),
+    ("view_dims", (4,)), ("view_dims", [4.0]), ("noise_sigma", False),
+    ("noise_sigma", None),
+])
+def test_synthetic_wrong_type_names_the_field(field, value):
+    kwargs = dict(clusters=2, per_cluster=5, views=1, latent_dim=3,
+                  view_dims=[4])
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        gen_synthetic(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Guards for the tooling that reaches into the package by attribute name."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import elmsc
 import elmsc.solver as solver
+from elmsc import cli
 from elmsc.dataset import build_augmented, gen_synthetic
 from elmsc.solver import ElmscConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CLUSTER = ROOT / "bench" / "traced_cluster.py"
+BENCH_RUN = ROOT / "bench" / "run.py"
 README = ROOT / "README.md"
 
 # calls per iteration that `run` makes to each traced solver-module layer
@@ -126,3 +131,30 @@ def test_readme_library_example_runs_as_written(capsys):
     exec(compile(block, str(README), "exec"), {})
     acc, nmi = (float(x) for x in capsys.readouterr().out.split())
     assert 0.9 <= acc <= 1.0 and 0.9 <= nmi <= 1.0
+
+
+def bench_workloads():
+    """`WORKLOADS` from the benchmark script, read as a literal so that
+    the script itself is not run."""
+    tree = ast.parse(BENCH_RUN.read_text())
+    [value] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets
+                    if isinstance(t, ast.Name)] == ["WORKLOADS"]]
+    return ast.literal_eval(value)
+
+
+def test_cli_reads_every_benchmark_dataset_spec():
+    # the benchmark hands each workload's `data` to `elmsc cluster
+    # --synthetic` or `elmsc synth --spec`; a stricter spec reader must
+    # still accept it and generate the same dataset
+    workloads = bench_workloads()
+    assert workloads
+    for name, workload in workloads.items():
+        spec = workload["data"]
+        via_cli = cli._synthetic_dataset(dict(spec))
+        direct = gen_synthetic(**spec)
+        assert len(via_cli.views) == len(direct.views), name
+        for a, b in zip(via_cli.views, direct.views):
+            assert np.array_equal(a, b), name
+        assert np.array_equal(via_cli.labels, direct.labels), name
