@@ -276,8 +276,8 @@ def cmd_eval(predicted_path, truth_path):
     truth = ds_mod.load_labels(truth_path)
     pair = metrics_mod.LabelPair(predicted=predicted, truth=truth)
     values = metrics_mod.all_metrics(pair)
-    for name, val in zip(("ACC", "NMI", "AR", "F1"), values):
-        print(f"{name} {val * 100:.2f}")
+    for name, val in zip(metrics_mod.METRIC_NAMES, values):
+        print(f"{name.upper()} {val * 100:.2f}")
     return values
 
 

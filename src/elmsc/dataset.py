@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from ._seeds import rng_from
 from .numerics import pca_reduce
@@ -98,7 +97,11 @@ class AugmentedMatrix:
     def block_diagonal(self):
         """A new d x (v*n) matrix holding the diagonal blocks (the raw
         views) and zeros elsewhere."""
-        return block_diag(*(self.block(l, l) for l in range(self.n_views)))
+        out = np.zeros(self.xa.shape, dtype=self.xa.dtype)
+        diagonal = AugmentedMatrix(out, self.block_rows, self.pca_dim)
+        for l in range(self.n_views):
+            diagonal.block(l, l)[...] = self.block(l, l)
+        return out
 
 
 def _normalize_columns(x):

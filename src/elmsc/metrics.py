@@ -1,15 +1,15 @@
 """External clustering metrics and multi-trial aggregation.
 
 All four metrics are invariant to relabeling of either partition: accuracy
-via optimal assignment on the confusion matrix, mutual information
-normalized by the arithmetic mean of the partition entropies, the
-adjusted-for-chance Rand index, and F1 over co-clustered sample pairs.
+via optimal assignment on the confusion matrix (solved here by the
+Hungarian method, so that no process loads `scipy.optimize`), mutual
+information normalized by the arithmetic mean of the partition entropies,
+the adjusted-for-chance Rand index, and F1 over co-clustered sample pairs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,63 @@ class LabelPair:
         return table
 
 
+def _min_cost_assignment(cost):
+    """Column assigned to each row in a minimum-total-cost matching of a
+    square cost matrix.
+
+    Kuhn's Hungarian method in the shortest-augmenting-path form with row
+    and column potentials (Jonker & Volgenant, Computing 1987): row i joins
+    the matching along a shortest path of reduced costs, grown one column
+    at a time by Dijkstra's rule, in O(n^2) per row with the scan over
+    columns vectorised. Integer costs stay exact in float64.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    n = cost.shape[0]
+    u = np.zeros(n)  # row potentials
+    v = cost.min(axis=0)  # column potentials
+    row_of = np.full(n, -1)  # row matched to each column, -1 when free
+    # start from the tight edges: each row takes the first column whose
+    # minimum it holds
+    best = cost.argmin(axis=0)
+    _, first = np.unique(best, return_index=True)
+    row_of[first] = best[first]
+    for i in np.setdiff1d(np.arange(n), row_of):
+        dist = np.full(n, np.inf)  # shortest reduced path cost per column
+        prev = np.full(n, -1)  # previous column on that path, -1 = row i
+        done = np.zeros(n, dtype=bool)
+        i0, j0 = i, -1
+        while True:
+            reduced = cost[i0] - u[i0] - v
+            closer = ~done & (reduced < dist)
+            dist[closer] = reduced[closer]
+            prev[closer] = j0
+            j0 = int(np.argmin(np.where(done, np.inf, dist)))
+            delta = dist[j0]
+            u[i] += delta
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+            done[j0] = True
+            if row_of[j0] < 0:
+                break
+            i0 = row_of[j0]
+        while j0 >= 0:  # flip the matching along the path back to row i
+            j1 = prev[j0]
+            row_of[j0] = row_of[j1] if j1 >= 0 else i
+            j0 = j1
+    cols = np.empty(n, dtype=np.intp)
+    cols[row_of] = np.arange(n)
+    return cols
+
+
 def acc(pair):
     """Best fraction of agreeing samples over injective cluster matchings."""
     table = pair.contingency()
     size = max(table.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return float(padded[rows, cols].sum() / len(pair.truth))
+    cols = _min_cost_assignment(-padded)
+    return float(padded[np.arange(size), cols].sum() / len(pair.truth))
 
 
 def _entropy(counts, n):
@@ -134,11 +183,12 @@ def aggregate_trials(trials):
     if not trials:
         raise ValueError("at least one trial is required")
     arr = np.asarray(trials, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise ValueError("each trial must be an (acc, nmi, ari, f1) tuple")
+    if arr.ndim != 2 or arr.shape[1] != len(METRIC_NAMES):
+        raise ValueError(
+            f"each trial must be an ({', '.join(METRIC_NAMES)}) tuple")
     mean = arr.mean(axis=0)
     if arr.shape[0] == 1:
-        std = np.zeros(4)
+        std = np.zeros_like(mean)
     else:
         std = arr.std(axis=0, ddof=1)
     return {name: {"mean": m, "std": s}

@@ -334,7 +334,7 @@ def test_eval_identical_files(tmp_path, capsys):
     code = cli.main(["eval", str(path), str(path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.splitlines() == ["ACC 100.00", "NMI 100.00", "AR 100.00",
+    assert out.splitlines() == ["ACC 100.00", "NMI 100.00", "ARI 100.00",
                                 "F1 100.00"]
 
 

@@ -4,10 +4,12 @@ import statistics
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment  # test-only oracle
 
 from elmsc.metrics import (
     METRIC_NAMES,
     LabelPair,
+    _min_cost_assignment,
     acc,
     aggregate_trials,
     all_metrics,
@@ -146,6 +148,81 @@ def test_acc_at_least_chance_on_balanced_truth():
         truth = np.repeat(np.arange(c), 12)
         predicted = rng.integers(0, c, size=c * 12)
         assert acc(pair_of(predicted, truth)) >= 1 / c - 1e-12
+
+
+def test_acc_pads_unequal_cluster_counts():
+    # 3 predicted clusters against 2 true ones, and the converse: the
+    # contingency table is padded square with zero rows or columns
+    predicted, truth = [0, 0, 1, 2, 2, 2], [0, 0, 0, 1, 1, 1]
+    assert acc(pair_of(predicted, truth)) == 5 / 6
+    assert acc_permutation_oracle(predicted, truth) == 5 / 6
+    assert acc(pair_of(truth, predicted)) == 5 / 6
+    assert acc(pair_of([3, 1, 4, 1, 5], [0, 0, 0, 0, 0])) == 2 / 5
+
+
+def test_acc_one_sample_and_one_cluster():
+    assert acc(pair_of([7], [2])) == 1.0
+    assert acc(pair_of([0, 0, 0], [1, 1, 1])) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# assignment solver behind acc
+# ---------------------------------------------------------------------------
+
+def assert_is_permutation(cols, n):
+    assert cols.shape == (n,)
+    assert sorted(cols.tolist()) == list(range(n))
+
+
+def brute_force_min_total(cost):
+    n = len(cost)
+    return min(sum(cost[i][p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def small_cost_matrices():
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        yield rng.integers(-9, 10, size=(n, n))
+        yield rng.standard_normal((n, n))
+        yield np.full((n, n), 4)  # all equal
+        yield rng.integers(0, 2, size=(n, n))  # many ties
+        zero_row = rng.integers(0, 20, size=(n, n))
+        zero_row[n // 2] = 0
+        yield zero_row
+        yield -np.eye(n, dtype=np.int64)[rng.permutation(n)]
+
+
+def test_assignment_matches_brute_force_small():
+    for cost in small_cost_matrices():
+        n = len(cost)
+        cols = _min_cost_assignment(cost)
+        assert_is_permutation(cols, n)
+        got = cost[np.arange(n), cols].sum()
+        want = brute_force_min_total(cost.tolist())
+        if np.issubdtype(cost.dtype, np.integer):
+            assert got == want, cost
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), cost
+
+
+def test_assignment_matches_scipy_oracle():
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        n = int(rng.integers(1, 81))
+        if trial % 2:
+            cost = rng.uniform(-1, 1, size=(n, n))
+        else:
+            cost = rng.integers(-50, 50, size=(n, n))
+        cols = _min_cost_assignment(cost)
+        assert_is_permutation(cols, n)
+        rows, want_cols = linear_sum_assignment(cost)
+        got = cost[np.arange(n), cols].sum()
+        want = cost[rows, want_cols].sum()
+        if trial % 2:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        else:
+            assert got == want
 
 
 # ---------------------------------------------------------------------------

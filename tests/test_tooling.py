@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -158,3 +161,23 @@ def test_cli_reads_every_benchmark_dataset_spec():
         for a, b in zip(via_cli.views, direct.views):
             assert np.array_equal(a, b), name
         assert np.array_equal(via_cli.labels, direct.labels), name
+
+
+def test_cli_eval_does_not_load_scipy_optimize(tmp_path):
+    # importing scipy.optimize adds about 21 MiB to every elmsc process;
+    # ACC's matching is computed in `metrics` so that no path needs it
+    labels = tmp_path / "labels.txt"
+    np.savetxt(labels, [0, 0, 1, 1, 2], fmt="%d")
+    child = (
+        "import sys\n"
+        "from elmsc import cli\n"
+        f"code = cli.main(['eval', {str(labels)!r}, {str(labels)!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False", out
