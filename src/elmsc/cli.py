@@ -53,7 +53,6 @@ class RunConfig:
     seed: int = 0
     ablation: str = "full"
     workers: int = 1
-    restarts: int = 10
     random_params: bool = False
     lambda_grid: tuple = field(default=DEFAULT_LAMBDA_GRID)
     k_grid: tuple = field(default=DEFAULT_K_GRID)
@@ -67,11 +66,10 @@ class RunConfig:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be positive, got {self.restarts}")
         if not self.lambda_grid or not self.k_grid:
             raise ValueError("sweep grids must be nonempty")
-        self.lambda_grid = tuple(self.lambda_grid)
+        self.lambda_grid = tuple(ds_mod.finite_real(lam, "lambda_grid")
+                                 for lam in self.lambda_grid)
         self.k_grid = tuple(self.k_grid)
 
 
@@ -94,13 +92,11 @@ def _load_or_generate(cfg):
 
 def _trial_job(payload):
     """One end-to-end trial; top-level so worker processes can run it."""
-    xa, scfg, clusters, restarts, trial, labels = payload
+    xa, scfg, clusters, trial, labels = payload
     start = time.perf_counter()
     out = solver_mod.run(xa, scfg)
     zhat = solver_mod.aggregate_z(out.z, xa.n_views, xa.n_samples)
-    result = spectral_mod.cluster(
-        zhat, clusters, restarts=restarts, seed=scfg.seed
-    )
+    result = spectral_mod.cluster(zhat, clusters, seed=scfg.seed)
     kkt = solver_mod.kkt_residuals(
         out.state, out.data, scfg.effective_lam, xa.n_views, xa.n_samples,
     )
@@ -114,11 +110,6 @@ def _trial_job(payload):
         "seed": scfg.seed,
         "converged": out.converged,
         "iterations": len(out.trace),
-        "final_residuals": {
-            "r1": out.trace.r1[-1],
-            "r2": out.trace.r2[-1],
-            "r3": out.trace.r3[-1],
-        },
         "kkt": asdict(kkt),
         "metrics": None if metric_values is None else dict(
             zip(metrics_mod.METRIC_NAMES, metric_values)
@@ -156,14 +147,14 @@ def cmd_cluster(cfg):
     Trial i uses seed = base seed + i for both the solver initialization and
     the k-means restarts. Returns the report dict.
     """
+    if cfg.random_params:
+        lam, latent_dim = _draw_params(cfg)
+        cfg = replace(cfg, lam=lam, latent_dim=latent_dim)
     return _run_trials(cfg, *_prepare(cfg))
 
 
 def _run_trials(cfg, xa, labels):
-    """The trials of one run on a prepared augmented matrix; see cmd_cluster."""
-    if cfg.random_params:
-        lam, latent_dim = _draw_params(cfg)
-        cfg = replace(cfg, lam=lam, latent_dim=latent_dim)
+    """The trials of one run at cfg.lam and cfg.latent_dim; see cmd_cluster."""
     scfg = solver_mod.ElmscConfig(lam=cfg.lam, latent_dim=cfg.latent_dim,
                                   seed=cfg.seed, ablation=cfg.ablation)
     # before the output directory exists: a config error leaves nothing
@@ -173,8 +164,7 @@ def _run_trials(cfg, xa, labels):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     payloads = [
-        (xa, replace(scfg, seed=scfg.seed + t), cfg.clusters, cfg.restarts,
-         t, labels)
+        (xa, replace(scfg, seed=scfg.seed + t), cfg.clusters, t, labels)
         for t in range(cfg.trials)
     ]
     if cfg.workers > 1:
@@ -300,7 +290,6 @@ def _add_common(p):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ablation", choices=solver_mod.ABLATIONS)
     p.add_argument("--workers", type=int)
-    p.add_argument("--restarts", type=int, help="k-means restarts per trial")
     p.add_argument("--random-params", action="store_true",
                    help="draw lambda and latent-dim uniformly from the grids")
 

@@ -190,6 +190,13 @@ def _number(value, name, kind=numbers.Integral):
     return value
 
 
+def finite_real(value, name):
+    """`_number`'s rule for a real `value` that must also be finite."""
+    if not -np.inf < _number(value, name, numbers.Real) < np.inf:
+        raise ValueError(f"'{name}' must be finite, not {value!r}")
+    return value
+
+
 def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
                   noise_sigma=0.0, seed=0):
     """Generate a labeled multi-view dataset from a shared latent space.
@@ -201,7 +208,7 @@ def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
     linear map plus Gaussian noise of scale `noise_sigma`.
 
     Counts, seed and `view_dims` entries must be integers and `noise_sigma`
-    a real number, none of them a bool; ValueError names a field that is not.
+    a finite real, none of them a bool; ValueError names a field that is not.
     """
     if not isinstance(view_dims, list):
         raise ValueError(f"'view_dims' must be a list, got {view_dims!r}")
@@ -209,7 +216,7 @@ def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
                         ("views", views), ("latent_dim", latent_dim),
                         ("seed", seed), *(("view_dims", d) for d in view_dims)):
         _number(value, name)
-    if _number(noise_sigma, "noise_sigma", numbers.Real) < 0:
+    if finite_real(noise_sigma, "noise_sigma") < 0:
         raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     if views != len(view_dims):
         raise ValueError(f"views={views} but {len(view_dims)} view_dims given")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import rng_from
+from .dataset import finite_real
 from .numerics import (
     NumericalError,
     col_l21_prox,
@@ -55,7 +56,7 @@ class ElmscConfig:
     ablation: str = "full"
 
     def __post_init__(self):
-        if self.lam < 0:
+        if finite_real(self.lam, "lam") < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be positive, got {self.latent_dim}")

@@ -13,6 +13,7 @@ from ._seeds import rng_from
 from .numerics import sym_eig
 
 _LLOYD_CAP = 300
+_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ def _lloyd(points, centers):
     return labels, inertia
 
 
-def kmeans(points, c, restarts=10, seed=0):
-    """Best-of-`restarts` Lloyd clustering, deterministic for a fixed seed.
+def kmeans(points, c, seed=0):
+    """Best-of-`_RESTARTS` Lloyd clustering, deterministic for a fixed seed.
 
     Each restart draws its own derived seed; the run with the lowest inertia
     wins, ties going to the lowest restart index.
@@ -106,10 +107,8 @@ def kmeans(points, c, restarts=10, seed=0):
     n = points.shape[0]
     if c > n:
         raise ValueError(f"cannot form {c} clusters from {n} points")
-    if restarts < 1:
-        raise ValueError(f"restarts must be positive, got {restarts}")
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
+    for r in range(_RESTARTS):
         rng = rng_from(seed, r)
         centers = _greedy_seed(points, c, rng)
         labels, inertia = _lloyd(points, centers)
@@ -118,11 +117,11 @@ def kmeans(points, c, restarts=10, seed=0):
     return best_labels, best_inertia
 
 
-def cluster(zhat, c, restarts=10, seed=0):
+def cluster(zhat, c, seed=0):
     """Full pipeline from aggregated representation to cluster labels."""
     # the n x n affinity and Laplacian are not kept past the embedding
     f = spectral_embed(laplacian(affinity(zhat)), c)
-    labels, inertia = kmeans(f, c, restarts=restarts, seed=seed)
+    labels, inertia = kmeans(f, c, seed=seed)
     return ClusteringResult(
         labels=labels,
         embedding=f,

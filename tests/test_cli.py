@@ -122,6 +122,36 @@ def test_cluster_random_params_draw_recorded(tmp_path):
     assert (cfg.lam, cfg.latent_dim) == (0.5, 2)
 
 
+def test_trial_record_and_config_keys(tmp_path):
+    # the first seven record keys are the ones bench/run.py's check_run reads
+    report = cli.cmd_cluster(tiny_config(tmp_path))
+    assert set(report["trials"][0]) == {
+        "converged", "iterations", "kkt", "metrics", "labels_file",
+        "trace_file", "wall_clock_sec", "trial", "seed"}
+    assert set(report["config"]) == {
+        "ablation", "clusters", "lambda", "latent_dim", "manifest",
+        "max_iter", "mu0", "mu_max", "pca_components", "random_params",
+        "rho", "seed", "seed_derivation", "synthetic", "tol", "trials",
+        "workers"}
+
+
+def test_random_params_drawn_once_per_run(monkeypatch, tmp_path):
+    draws = []
+    draw_params = cli._draw_params
+
+    def counting(cfg):
+        draws.append(cfg)
+        return draw_params(cfg)
+
+    monkeypatch.setattr(cli, "_draw_params", counting)
+    cli.cmd_cluster(tiny_config(tmp_path / "c", random_params=True,
+                                k_grid=(3,)))
+    assert len(draws) == 1
+    cli.cmd_sweep(tiny_config(tmp_path / "s", random_params=True,
+                              k_grid=(3,)))
+    assert len(draws) == 2
+
+
 def test_cluster_workers_match_serial(tmp_path):
     serial = cli.cmd_cluster(tiny_config(tmp_path / "a", trials=2))
     parallel = cli.cmd_cluster(tiny_config(tmp_path / "b", trials=2, workers=2))
@@ -171,6 +201,7 @@ def test_sweep_cell_failure_does_not_abort(tmp_path):
     ("--lambda-grid", ["1.0000001", "1.0000002"]),  # both print as lam1
     ("--lambda-grid", ["1", "0.001", "1e-3"]),
     ("--k-grid", ["3", "3"]),
+    ("--lambda-grid", ["nan", "1"]),
 ])
 def test_sweep_cells_sharing_a_directory_refused_before_any_cell(
         monkeypatch, tmp_path, capsys, flag, grid):
@@ -184,7 +215,8 @@ def test_sweep_cells_sharing_a_directory_refused_before_any_cell(
     assert code == cli.EXIT_CONFIG
     err = only_error_record(capsys)
     assert err["error"] == "ValueError"
-    assert "cell_lam" in err["message"]
+    # a NaN entry is refused as a value, the others as a shared directory
+    assert ("lambda_grid" if "nan" in grid else "cell_lam") in err["message"]
     assert not (tmp_path / "o").exists()
 
 
@@ -294,7 +326,8 @@ def test_synth_missing_field_is_config_error(tmp_path, capsys):
 
 
 # (field, value): the values the manifest loader refuses as counts, plus a
-# wrong container, a non-numeric noise level and a misspelt field
+# wrong container, a non-numeric or non-finite noise level and a misspelt
+# field
 BAD_SPEC_FIELDS = [
     ("view_dims", 5),
     ("clusters", 2.5),
@@ -303,6 +336,8 @@ BAD_SPEC_FIELDS = [
     ("seed", True),
     ("view_dims", [8.9, 6]),
     ("noise_sigma", "0.1"),
+    ("noise_sigma", float("nan")),
+    ("noise_sigma", float("inf")),
     ("noise_sgima", 0.1),
 ]
 
@@ -420,19 +455,9 @@ def test_every_run_config_field_is_a_parser_dest():
         assert args == {"command": command, "clusters": 2, "out": "x"}
 
 
-def test_zero_restarts_rejected_before_data_is_loaded(tmp_path, capsys):
-    with pytest.raises(ValueError, match="restarts"):
-        tiny_config(tmp_path, restarts=0)
-    # a data error would exit 2: the config error comes first
-    code = cli.main(["cluster", "--manifest", str(tmp_path / "nope.json"),
-                     "--clusters", "2", "--restarts", "0",
-                     "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_CONFIG
-    assert "restarts" in only_error_record(capsys)["message"]
-
-
 @pytest.mark.parametrize("name,value", [("latent_dim", 0), ("lam", -1.0),
-                                        ("latent_dim", 40)])  # 40 > d
+                                        ("latent_dim", 40),  # 40 > d
+                                        ("lam", np.nan), ("lam", np.inf)])
 def test_bad_solver_config_rejected_before_first_trial(monkeypatch, tmp_path,
                                                        name, value):
     def no_trial(payload):
@@ -524,7 +549,7 @@ def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
 
     monkeypatch.setattr(solver, "kkt_residuals", recording)
     scfg = solver.ElmscConfig(lam=1.0, latent_dim=3, ablation=ablation)
-    record, *_ = cli._trial_job((xa, scfg, 2, 1, 0, labels))
+    record, *_ = cli._trial_job((xa, scfg, 2, 0, labels))
     assert len(calls) == builds
     assert len(kkt_data) == 1
     assert (kkt_data[0] is xa.xa) == (ablation == "full")
