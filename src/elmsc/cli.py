@@ -332,9 +332,16 @@ def _parse_json_arg(text, what):
 
 def _run_config_from_args(args):
     """RunConfig from the parsed arguments, each field from the dest of its
-    name; a field whose option was not given keeps its RunConfig default."""
+    name; a field whose option was not given keeps its RunConfig default.
+    A lambda or latent dim given where the grids choose them (`sweep`,
+    `--random-params`) is refused rather than dropped."""
     kwargs = {f.name: getattr(args, f.name) for f in fields(RunConfig)
               if hasattr(args, f.name)}
+    chooser = "sweep" if args.command == "sweep" else "--random-params"
+    for name, flag in (("lam", "--lambda"), ("latent_dim", "--latent-dim")):
+        if name in kwargs and (chooser == "sweep" or "random_params" in kwargs):
+            raise ValueError(f"{flag} is not used by {chooser}, which takes "
+                             "lambda and latent dim from the grids")
     if "synthetic" in kwargs:
         kwargs["synthetic"] = _parse_json_arg(kwargs["synthetic"], "--synthetic")
     return RunConfig(**kwargs)

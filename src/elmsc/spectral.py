@@ -1,8 +1,8 @@
 """Spectral clustering of an aggregated self-representation matrix.
 
-Pipeline: symmetrized absolute affinity, unnormalized graph Laplacian,
-eigenvector embedding on the smallest eigenvalues, then Lloyd k-means with
-greedy distance-weighted seeding.
+Pipeline: symmetrized absolute affinity W, the Ng-Jordan-Weiss embedding
+(top eigenvectors of D^-1/2 W D^-1/2, rows scaled to unit length), then
+Lloyd k-means with greedy distance-weighted seeding.
 """
 
 from dataclasses import dataclass
@@ -32,20 +32,20 @@ def affinity(zhat):
     return 0.5 * (np.abs(zhat) + np.abs(zhat.T))
 
 
-def laplacian(w):
-    """Unnormalized Laplacian L = D - W of an affinity matrix W, with D the
-    row-sum degree matrix."""
-    return np.diag(w.sum(axis=1)) - w
-
-
-def spectral_embed(l, c):
-    """Eigenvectors of L for the c smallest eigenvalues, as columns of an
-    n x c matrix with orthonormal columns."""
-    l = np.asarray(l, dtype=np.float64)
-    n = l.shape[0]
+def spectral_embed(w, c):
+    """Ng-Jordan-Weiss embedding of an affinity W: the n x c eigenvectors of
+    D^-1/2 W D^-1/2 for its c largest eigenvalues, each row scaled to unit
+    length. A sample of zero degree gets a zero row."""
+    w = np.asarray(w, dtype=np.float64)
+    n = w.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"embedding dimension {c} outside [1, {n}]")
-    return sym_eig(l)[1][:, :c]
+    deg = w.sum(axis=1)
+    s = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
+    # an isolated sample's entries are rounding noise: keep its row zero
+    u = sym_eig(s[:, None] * w * s)[1][:, n - c:] * (deg > 0)[:, None]
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    return np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
 
 
 def _greedy_seed(points, c, rng):
@@ -119,8 +119,8 @@ def kmeans(points, c, seed=0):
 
 def cluster(zhat, c, seed=0):
     """Full pipeline from aggregated representation to cluster labels."""
-    # the n x n affinity and Laplacian are not kept past the embedding
-    f = spectral_embed(laplacian(affinity(zhat)), c)
+    # the n x n affinity is not kept past the embedding
+    f = spectral_embed(affinity(zhat), c)
     labels, inertia = kmeans(f, c, seed=seed)
     return ClusteringResult(
         labels=labels,

@@ -242,10 +242,36 @@ def test_malformed_manifest_is_data_error(tmp_path, capsys, command, defect):
     else:
         del manifest["views"][1][defect[3:]]
     path.write_text(json.dumps(manifest))
+    k = ["--k-grid", "3"] if command == "sweep" else ["--latent-dim", "3"]
     code = cli.main([command, "--manifest", str(path), "--clusters", "2",
-                     "--latent-dim", "3", "--out", str(tmp_path / "o")])
+                     *k, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_DATA
     assert only_error_record(capsys)["error"] == "DatasetError"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--lambda", "1"], "--lambda"),
+    (["sweep", "--latent-dim", "3"], "--latent-dim"),
+    (["sweep", "--random-params", "--latent-dim", "3"], "--latent-dim"),
+    (["cluster", "--random-params", "--lambda", "1"], "--lambda"),
+    (["cluster", "--random-params", "--latent-dim", "3"], "--latent-dim"),
+])
+def test_option_the_grids_override_is_refused_before_output(
+        monkeypatch, tmp_path, capsys, argv, flag):
+    # sweep cells and --random-params take lambda and latent dim from the
+    # grids, so a value given for either would be silently dropped
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_trial_job", no_trial)
+    code = cli.main([*argv, "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--trials", "1", "--out",
+                     str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = only_error_record(capsys)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{flag} is not used")
     assert not (tmp_path / "o").exists()
 
 

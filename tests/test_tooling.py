@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -161,6 +162,27 @@ def test_cli_reads_every_benchmark_dataset_spec():
         for a, b in zip(via_cli.views, direct.views):
             assert np.array_equal(a, b), name
         assert np.array_equal(via_cli.labels, direct.labels), name
+
+
+def test_every_benchmark_workload_holds_its_acc_floor(tmp_path):
+    # the benchmark counts a trial that does not converge or falls below
+    # its workload's acc_floor as failed; a schedule or clustering change
+    # that breaks the floor must fail here before it reaches the benchmark
+    for name, workload in bench_workloads().items():
+        spec = json.dumps(workload["data"], sort_keys=True)
+        inputs = ["--synthetic", spec]
+        if workload["manifest"]:
+            data = tmp_path / name / "data"
+            assert cli.main(["synth", "--spec", spec, "--out", str(data)]) == 0
+            inputs = ["--manifest", str(data / "manifest.json")]
+        out = tmp_path / name / "out"
+        code = cli.main(["cluster", *inputs, "--clusters",
+                         str(workload["data"]["clusters"]), *workload["flags"],
+                         "--trials", "1", "--seed", "1", "--out", str(out)])
+        assert code == cli.EXIT_OK, name
+        [trial] = json.loads((out / "report.json").read_text())["trials"]
+        assert trial["converged"], name
+        assert trial["metrics"]["acc"] >= workload["acc_floor"], name
 
 
 def test_cli_eval_does_not_load_scipy_optimize(tmp_path):
