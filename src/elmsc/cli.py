@@ -70,7 +70,11 @@ class RunConfig:
             raise ValueError("sweep grids must be nonempty")
         self.lambda_grid = tuple(ds_mod.finite_real(lam, "lambda_grid")
                                  for lam in self.lambda_grid)
-        self.k_grid = tuple(self.k_grid)
+        self.k_grid = tuple(ds_mod.number(k, "k_grid") for k in self.k_grid)
+        if min(self.lambda_grid) < 0:
+            raise ValueError(f"'lambda_grid' must be nonnegative: {self.lambda_grid}")
+        if min(self.k_grid) < 1:  # a k above d fails only its cell
+            raise ValueError(f"'k_grid' entries must be >= 1: {self.k_grid}")
 
 
 def _synthetic_dataset(spec):
@@ -90,6 +94,7 @@ def _load_or_generate(cfg):
     return _synthetic_dataset(cfg.synthetic)
 
 
+@np.errstate(all="ignore")  # overflow is caught by the NaN/Inf guards
 def _trial_job(payload):
     """One end-to-end trial; top-level so worker processes can run it."""
     xa, scfg, clusters, trial, labels = payload
@@ -97,9 +102,6 @@ def _trial_job(payload):
     out = solver_mod.run(xa, scfg)
     zhat = solver_mod.aggregate_z(out.z, xa.n_views, xa.n_samples)
     result = spectral_mod.cluster(zhat, clusters, seed=scfg.seed)
-    kkt = solver_mod.kkt_residuals(
-        out.state, out.data, scfg.effective_lam, xa.n_views, xa.n_samples,
-    )
     metric_values = None
     if labels is not None:
         pair = metrics_mod.LabelPair(predicted=result.labels, truth=labels)
@@ -110,7 +112,7 @@ def _trial_job(payload):
         "seed": scfg.seed,
         "converged": out.converged,
         "iterations": len(out.trace),
-        "kkt": asdict(kkt),
+        "kkt": asdict(out.kkt),
         "metrics": None if metric_values is None else dict(
             zip(metrics_mod.METRIC_NAMES, metric_values)
         ),
@@ -347,6 +349,7 @@ def _run_config_from_args(args):
     return RunConfig(**kwargs)
 
 
+@np.errstate(all="ignore")  # overflow is caught by the NaN/Inf guards
 def main(argv=None):
     parser = build_parser()
     try:
@@ -363,15 +366,16 @@ def main(argv=None):
         return EXIT_OK
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
+    except NumericalError as exc:
+        # before ValueError: a NonFiniteError is both, and means overflow
+        _emit_error(exc)
+        return EXIT_NUMERIC
     except ValueError as exc:
         _emit_error(exc)
         return EXIT_CONFIG
     except (DatasetError, OSError) as exc:
         _emit_error(exc)
         return EXIT_DATA
-    except NumericalError as exc:
-        _emit_error(exc)
-        return EXIT_NUMERIC
 
 
 def _emit_error(exc):

@@ -183,7 +183,7 @@ def default_pca_components(clusters, ds):
     return min(clusters * 6, ds.n_samples - 1, min(ds.view_dims))
 
 
-def _number(value, name, kind=numbers.Integral):
+def number(value, name, kind=numbers.Integral):
     """`value` if it is a `kind` but not a bool, else ValueError naming it."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"'{name}' must be {kind.__name__.lower()}, not {value!r}")
@@ -191,8 +191,8 @@ def _number(value, name, kind=numbers.Integral):
 
 
 def finite_real(value, name):
-    """`_number`'s rule for a real `value` that must also be finite."""
-    if not -np.inf < _number(value, name, numbers.Real) < np.inf:
+    """`number`'s rule for a real `value` that must also be finite."""
+    if not -np.inf < number(value, name, numbers.Real) < np.inf:
         raise ValueError(f"'{name}' must be finite, not {value!r}")
     return value
 
@@ -215,7 +215,7 @@ def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
     for name, value in (("clusters", clusters), ("per_cluster", per_cluster),
                         ("views", views), ("latent_dim", latent_dim),
                         ("seed", seed), *(("view_dims", d) for d in view_dims)):
-        _number(value, name)
+        number(value, name)
     if finite_real(noise_sigma, "noise_sigma") < 0:
         raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     if views != len(view_dims):
@@ -326,9 +326,9 @@ def load_dataset(manifest_path):
         raise DatasetError(f"manifest {manifest_path} must declare 'n' and 'views'")
     base = manifest_path.parent
     try:
-        n = _number(spec["n"], "n")
+        n = number(spec["n"], "n")
         entries = [(str(e["path"]),
-                    (_number(e["rows"], "rows"), _number(e["cols"], "cols")),
+                    (number(e["rows"], "rows"), number(e["cols"], "cols")),
                     e.get("name", e["path"])) for e in spec["views"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(

@@ -106,7 +106,7 @@ def _entropy(counts, n):
 
 
 def nmi(pair):
-    """Mutual information over the arithmetic mean of both entropies.
+    """Mutual information over the arithmetic mean of both entropies, in [0, 1].
 
     Two single-cluster partitions agree perfectly and score 1.
     """
@@ -122,7 +122,7 @@ def nmi(pair):
     nij = table[nz].astype(np.float64)
     outer = np.outer(row, col)[nz]
     mi = float((nij / n * np.log(n * nij / outer)).sum())
-    return max(0.0, mi / (0.5 * (h_t + h_p)))
+    return min(1.0, max(0.0, mi / (0.5 * (h_t + h_p))))
 
 
 def _pair_count(counts):

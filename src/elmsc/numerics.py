@@ -11,6 +11,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 logger = logging.getLogger(__name__)
+SYLVESTER_SINGULAR_TOL = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -84,12 +85,12 @@ def sym_eig(m):
     return lam, q
 
 
-def solve_sylvester(a, b, c, singular_tol=1e-12):
+def solve_sylvester(a, b, c):
     """Solve a @ H + H @ b = c for symmetric a (k x k) and b (m x m).
 
     Both sides are diagonalized, c is transformed into the joint eigenbasis,
     divided entrywise by alpha_i + beta_j, and transformed back. Raises
-    SylvesterSingularError when some alpha_i + beta_j vanishes.
+    SylvesterSingularError when |alpha_i + beta_j| <= SYLVESTER_SINGULAR_TOL.
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
@@ -103,7 +104,7 @@ def solve_sylvester(a, b, c, singular_tol=1e-12):
     lam_a, qa = sym_eig(a)
     lam_b, qb = sym_eig(b)
     denom = lam_a[:, None] + lam_b[None, :]
-    bad = np.abs(denom) <= singular_tol
+    bad = np.abs(denom) <= SYLVESTER_SINGULAR_TOL
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise SylvesterSingularError(lam_a[i], lam_b[j], int(i), int(j))

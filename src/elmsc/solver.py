@@ -81,7 +81,7 @@ class ElmscConfig:
 
 @dataclass
 class AdmmState:
-    """All solver variables plus the penalty value and iteration counter."""
+    """All solver variables plus the penalty value."""
 
     p: np.ndarray
     h: np.ndarray
@@ -93,7 +93,6 @@ class AdmmState:
     y2: np.ndarray
     y3: np.ndarray
     mu: float
-    iter: int = 0
 
 
 @dataclass
@@ -127,18 +126,6 @@ class ConvergenceTrace:
                 w.writerow([row[0], *(repr(x) for x in row[1:])])
 
 
-@dataclass
-class SolverOutput:
-    """Result of `run`; the final P, H, E1 and E2 are in `state`, and `data`
-    is the matrix the solve ran against (see `effective_data`)."""
-
-    z: np.ndarray
-    trace: ConvergenceTrace
-    converged: bool
-    state: AdmmState = None  # final iterate, for stationarity diagnostics
-    data: np.ndarray = None
-
-
 @dataclass(frozen=True)
 class KktReport:
     """Stationarity diagnostics at the final iterate.
@@ -158,6 +145,18 @@ class KktReport:
 
     def as_tuple(self):
         return (self.recon, self.selfrep, self.aux, self.e_gap, self.j_gap)
+
+
+@dataclass
+class SolverOutput:
+    """Result of `run`: the final iterate, whose Z is also `z`, and its
+    stationarity diagnostics against the matrix and lam the solve used."""
+
+    z: np.ndarray
+    trace: ConvergenceTrace
+    converged: bool
+    state: AdmmState
+    kkt: KktReport
 
 
 def block_diagonal_part(m, v, n):
@@ -201,7 +200,6 @@ def init_state(xa, cfg):
         y2=np.zeros((k, vn)),
         y3=np.zeros((vn, vn)),
         mu=cfg.mu0,
-        iter=0,
     )
 
 
@@ -426,23 +424,18 @@ def _each_warning_once(log):
         log.removeFilter(first)
 
 
-def effective_data(xa, cfg):
-    """The data matrix the solver actually optimizes against: the raw
-    augmented matrix itself, or a new copy of its block-diagonal part under
-    the v2 ablation."""
-    return xa.block_diagonal() if cfg.ablation == "v2" else xa.xa
-
-
 def run(xa, cfg):
     """Execute the full alternating schedule on an augmented matrix.
 
     Updates run in the fixed order P, H, Z, J, E, multipliers, penalty (J
     and E read neither each other's variable, so this is the P, H, Z, E, J
     iteration); the trace records every iteration; the loop stops once all
-    three residuals drop below cfg.tol or cfg.max_iter is reached.
+    three residuals drop below cfg.tol or cfg.max_iter is reached. The KKT
+    report is taken at the final iterate, against the matrix the solve ran
+    on: the augmented matrix, or a copy of its block-diagonal part under v2.
     Deterministic for a fixed seed.
     """
-    mat = effective_data(xa, cfg)
+    mat = xa.block_diagonal() if cfg.ablation == "v2" else xa.xa
     v, n = xa.n_views, xa.n_samples
     lam = cfg.effective_lam
 
@@ -482,18 +475,14 @@ def run(xa, cfg):
             y3 = state.y3
             update_multipliers(state, mat, cfg, mats)
             spare = y3  # J - Z became the new Y3
-            state.iter = t
             if max(r1, r2, r3) < cfg.tol:
                 converged = True
                 break
 
-    return SolverOutput(
-        z=state.z,
-        trace=trace,
-        converged=converged,
-        state=state,
-        data=mat,
-    )
+    del spare, y3  # the KKT check's J - Z takes the spare's place
+    kkt = kkt_residuals(state, mat, lam, v, n)
+    return SolverOutput(z=state.z, trace=trace, converged=converged,
+                        state=state, kkt=kkt)
 
 
 def aggregate_z(z, v, n):

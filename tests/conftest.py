@@ -32,7 +32,6 @@ def random_admm_state(rng, d, k, v, n, mu=1.0):
         y2=rng.standard_normal((k, vn)) * 0.1,
         y3=rng.standard_normal((vn, vn)) * 0.1,
         mu=mu,
-        iter=1,
     )
 
 

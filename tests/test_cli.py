@@ -220,6 +220,34 @@ def test_sweep_cells_sharing_a_directory_refused_before_any_cell(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag,grid,field", [
+    ("--lambda-grid", ["0.1", "-1"], "lambda_grid"),
+    ("--k-grid", ["3", "0"], "k_grid"),
+])
+def test_sweep_grid_no_cell_can_run_is_refused_before_output(
+        monkeypatch, tmp_path, capsys, flag, grid, field):
+    def no_trial(payload):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "_trial_job", no_trial)
+    code = cli.main(["sweep", "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--trials", "1", flag, *grid,
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = only_error_record(capsys)
+    assert err["error"] == "ValueError"
+    assert field in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field,grid", [
+    ("k_grid", (2.5,)), ("k_grid", (True,)), ("lambda_grid", (-1e-3,)),
+])
+def test_run_config_refuses_grid_values_no_cell_can_run(tmp_path, field, grid):
+    with pytest.raises(ValueError, match=field):
+        tiny_config(tmp_path, **{field: grid})
+
+
 def test_sweep_missing_manifest_is_data_error(tmp_path, capsys):
     code = cli.main([
         "sweep", "--manifest", str(tmp_path / "nope.json"), "--clusters", "2",
@@ -461,6 +489,29 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert err["error"] == "NumericalError"
 
 
+def test_overflow_during_setup_is_numerical_exit(tmp_path, capsys):
+    # finite entries near the float64 limit overflow the PCA mean; the
+    # NonFiniteError is also a ValueError but must exit as numerical
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--spec", json.dumps(TINY_SPEC),
+                     "--out", str(data)]) == cli.EXIT_OK
+    capsys.readouterr()
+    for entry in json.loads((data / "manifest.json").read_text())["views"]:
+        view = np.loadtxt(data / entry["path"], ndmin=2)
+        np.savetxt(data / entry["path"],
+                   np.where(view < 0, -1.7e308, 1.7e308))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["cluster", "--manifest", str(data / "manifest.json"),
+                         "--clusters", "2", "--latent-dim", "3",
+                         "--trials", "1", "--out", str(out)])
+    assert code == cli.EXIT_NUMERIC
+    assert only_error_record(capsys)["error"] == "NonFiniteError"
+    assert not caught  # numpy's overflow warnings are silenced
+    assert not out.exists()
+
+
 def test_every_run_config_field_is_a_parser_dest():
     # RunConfig is filled from the dests of the same names, so a field
     # added on one side only must fail here
@@ -555,8 +606,8 @@ def test_clusters_above_sample_count_refused_before_output_and_trials(
 @pytest.mark.parametrize("ablation,builds", [("full", 0), ("v2", 1)])
 def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
                                                       ablation, builds):
-    # kkt_residuals reads the matrix the solve ran against from its output,
-    # so the v2 block-diagonal copy is not rebuilt for it
+    # run hands kkt_residuals the matrix it solved against, so the v2
+    # block-diagonal copy is not rebuilt for it
     xa, labels = cli._prepare(tiny_config(tmp_path))
     calls = []
     block_diagonal = AugmentedMatrix.block_diagonal

@@ -233,6 +233,13 @@ def test_nmi_identical_partitions():
     assert nmi(pair_of([0, 1, 1, 2], [5, 7, 7, 9])) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("per_cluster", [15, 20])
+def test_nmi_exact_ten_cluster_match_is_exactly_one(per_cluster):
+    # unclamped, rounding put this at 1.0000000000000002
+    labels = np.repeat(np.arange(10), per_cluster)
+    assert nmi(pair_of(labels, labels)) == 1.0
+
+
 def test_nmi_frozen_hand_computation():
     # truth (0,0,1,1) vs predicted (0,0,0,1):
     # MI = 0.5 ln(4/3) + 0.25 ln(2/3) + 0.25 ln 2, H = ln 2 and
