@@ -102,10 +102,11 @@ def _trial_job(payload):
     out = solver_mod.run(xa, scfg)
     zhat = solver_mod.aggregate_z(out.z, xa.n_views, xa.n_samples)
     result = spectral_mod.cluster(zhat, clusters, seed=scfg.seed)
-    metric_values = None
+    metrics = None
     if labels is not None:
         pair = metrics_mod.LabelPair(predicted=result.labels, truth=labels)
-        metric_values = metrics_mod.all_metrics(pair)
+        metrics = dict(zip(metrics_mod.METRIC_NAMES,
+                           metrics_mod.all_metrics(pair)))
     elapsed = time.perf_counter() - start
     record = {
         "trial": trial,
@@ -113,14 +114,12 @@ def _trial_job(payload):
         "converged": out.converged,
         "iterations": len(out.trace),
         "kkt": asdict(out.kkt),
-        "metrics": None if metric_values is None else dict(
-            zip(metrics_mod.METRIC_NAMES, metric_values)
-        ),
+        "metrics": metrics,
         "labels_file": f"labels_{trial}.txt",
         "trace_file": f"trace_{trial}.csv",
         "wall_clock_sec": elapsed,
     }
-    return record, result.labels, out.trace, metric_values
+    return record, result.labels, out.trace
 
 
 def _draw_params(cfg):
@@ -176,10 +175,10 @@ def _run_trials(cfg, xa, labels):
         results = [_trial_job(p) for p in payloads]
 
     records, trial_tuples = [], []
-    for record, pred, trace, metric_values in results:
+    for record, pred, trace in results:
         records.append(record)
-        if metric_values is not None:
-            trial_tuples.append(metric_values)
+        if record["metrics"] is not None:
+            trial_tuples.append(tuple(record["metrics"].values()))
         np.savetxt(out_dir / record["labels_file"], pred, fmt="%d")
         trace.write_csv(out_dir / record["trace_file"])
 

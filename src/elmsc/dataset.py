@@ -272,14 +272,17 @@ def load_labels(path):
         with warnings.catch_warnings():
             # an empty file is refused below, not warned about
             warnings.simplefilter("ignore", UserWarning)
-            labels = np.loadtxt(path, dtype=_LABEL_DTYPE, ndmin=1)
+            labels = np.loadtxt(path, dtype=_LABEL_DTYPE, ndmin=2)
     except OSError as exc:
         raise DatasetError(f"cannot read label file {path}: {exc}") from exc
     except ValueError as exc:
         raise DatasetError(f"label file {path} is not integer-valued: {exc}") from exc
+    if labels.shape[1] != 1:
+        raise DatasetError(f"label file {path} must hold one integer per line, "
+                           f"got {labels.shape[1]} values on a line")
     if labels.size == 0:
         raise DatasetError(f"label file {path} holds no labels")
-    return labels
+    return labels[:, 0]
 
 
 def save_dataset(ds, out_dir):

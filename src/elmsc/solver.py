@@ -99,15 +99,13 @@ class AdmmState:
 class ConvergenceTrace:
     """Per-iteration residuals, objective values, and penalty values."""
 
-    iters: list = field(default_factory=list)
     r1: list = field(default_factory=list)
     r2: list = field(default_factory=list)
     r3: list = field(default_factory=list)
     objective: list = field(default_factory=list)
     mu: list = field(default_factory=list)
 
-    def append(self, it, r1, r2, r3, obj, mu):
-        self.iters.append(it)
+    def append(self, r1, r2, r3, obj, mu):
         self.r1.append(r1)
         self.r2.append(r2)
         self.r3.append(r3)
@@ -115,15 +113,16 @@ class ConvergenceTrace:
         self.mu.append(mu)
 
     def __len__(self):
-        return len(self.iters)
+        return len(self.r1)
 
     def write_csv(self, path):
+        """One row per iteration, numbered from 1."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["iter", "r1", "r2", "r3", "objective", "mu"])
-            for row in zip(self.iters, self.r1, self.r2, self.r3,
-                           self.objective, self.mu):
-                w.writerow([row[0], *(repr(x) for x in row[1:])])
+            rows = zip(self.r1, self.r2, self.r3, self.objective, self.mu)
+            for it, row in enumerate(rows, 1):
+                w.writerow([it, *(repr(x) for x in row)])
 
 
 @dataclass(frozen=True)
@@ -237,19 +236,19 @@ CG_ITERS = 10
 def update_h(state, xa, pta=None, out=None):
     """Latent step: solve the Sylvester system A H + H B = C.
 
-    A = mu * P.T P and B = mu * W W.T with W = I - Z. The right-hand side
-    P.T Y1 + mu P.T (X - E1) - (Y2 - mu E2) W.T is formed as
-    C = mu P.T T - (Y2 - mu E2) W.T, where T = X + Y1/mu - E1 is update_p's
-    target; `pta` takes the k x vn product P.T T when the caller already
-    has it. When P is orthonormal, as update_p always returns it, A is
-    mu * I and the system reduces to H (I + W W.T) = C / mu, SPD. Its
-    solver is chosen from the shapes alone: for k small against vn,
-    conjugate gradients on the k rows (`gram_cg_solve`), warm-started from
-    the current H and needing only products with W; otherwise, or when CG
-    gives up (at its iteration cap, or on overflow), the vn x vn Gram
-    W W.T and one Cholesky factorization. The general Sylvester branch is
-    the path for P that is not orthonormal, which `run` never reaches; it
-    keeps the step a solver of the H-subproblem for any P.
+    The subproblem's normal equations, divided through by mu, have
+    A = P.T P, B = W W.T with W = I - Z, and C = P.T T - (Y2/mu - E2) W.T,
+    where T = X + Y1/mu - E1 is update_p's target; `pta` takes the k x vn
+    product P.T T when the caller already has it. When P is orthonormal,
+    as update_p always returns it, A is I and the system reduces to
+    H (I + W W.T) = C, SPD. Its solver is chosen from the shapes alone:
+    for k small against vn, conjugate gradients on the k rows
+    (`gram_cg_solve`), warm-started from the current H and needing only
+    products with W; otherwise, or when CG gives up (at its iteration cap,
+    or on overflow), the vn x vn Gram W W.T and one Cholesky factorization.
+    The general Sylvester branch is the path for P that is not orthonormal,
+    which `run` never reaches; it keeps the step a solver of the
+    H-subproblem for any P.
 
     `out` takes two vn x vn buffers (for W, for B) to write into instead of
     allocating them; the CG path uses only the first. The W buffer may be
@@ -257,28 +256,27 @@ def update_h(state, xa, pta=None, out=None):
     again after. Neither buffer may be any other state array, nor may the
     two be the same.
     """
-    p, z, mu = state.p, state.z, state.mu
+    p, z = state.p, state.z
     k, vn = p.shape[1], z.shape[0]
     diag = np.s_[::vn + 1]
     wbuf, bbuf = (None, None) if out is None else out
     w = np.negative(z, out=wbuf)
     w.flat[diag] += 1.0
-    c = mu * (p.T @ _latent_target(state, xa) if pta is None else pta)
-    c -= (state.y2 - mu * state.e2) @ w.T
+    c = p.T @ _latent_target(state, xa) if pta is None else pta
+    c = c - (state.y2 / state.mu - state.e2) @ w.T
     ptp = p.T @ p
     orthonormal = np.abs(ptp - np.eye(k)).max() <= 1e-8
     if orthonormal and (CG_ITERS + 2) * 4 * k < 1.33 * vn:
-        h, _ = gram_cg_solve(w, c / mu, state.h)
+        h, _ = gram_cg_solve(w, c, state.h)
         if h is not None:
             return h
     # matmul on w and its own transpose view runs as a syrk
     b = np.matmul(w, w.T, out=bbuf)
     del w
-    b *= mu
     if orthonormal:
-        b.flat[diag] += mu
+        b.flat[diag] += 1.0
         return spd_solve(b, c.T).T
-    return solve_sylvester(mu * ptp, b, c)
+    return solve_sylvester(ptp, b, c)
 
 
 def update_z(state, out=None, tmp=None):
@@ -374,20 +372,15 @@ def update_multipliers(state, xa, cfg, mats=None):
     """Dual ascent Y <- Y + mu R on Y1-Y3, then penalty growth
     mu <- min(rho mu, mu_max).
 
-    `mats` takes the residual matrices R when the caller already has them.
-    They are consumed: each is overwritten with mu R + Y and becomes the new
-    multiplier, so the step allocates nothing.
+    `mats` takes the residual matrices R when the caller already has them;
+    they are consumed as scratch. The multipliers are updated in place, so
+    the step allocates nothing.
     """
     if mats is None:
         mats = _residual_mats(state, xa)
-    # R takes Y's place rather than Y += R: `run` reuses the old Y3 as its
-    # spare vn x vn buffer, and freeing the old Y1, Y2 rather than keeping
-    # them in place spares the allocator trimming and refaulting others
-    r1, r2, r3 = mats
     for r, y in zip(mats, (state.y1, state.y2, state.y3)):
         r *= state.mu
-        r += y
-    state.y1, state.y2, state.y3 = r1, r2, r3
+        y += r
     state.mu = min(cfg.rho * state.mu, cfg.mu_max)
     return state
 
@@ -442,8 +435,8 @@ def run(xa, cfg):
     state = init_state(xa, cfg)
     e = state.e1.base  # the stacked [E1; E2] that init_state made
     # with one spare, every vn x vn step writes into Z, J or the spare, and
-    # the J - Z residual into the spare becomes Y3, whose old buffer is the
-    # next spare: the loop allocates no vn x vn array of its own
+    # so does the J - Z residual: the loop allocates no vn x vn array of its
+    # own
     spare = np.empty_like(state.z)
     trace = ConvergenceTrace()
     converged = False
@@ -470,17 +463,18 @@ def run(xa, cfg):
                 raise NumericalError(f"iteration {t}: {exc}") from exc
             obj = objective(state, lam, v, n)
             mats = _residual_mats(state, mat, fit, out=spare)
-            r1, r2, r3 = residuals(state, mat, mats)
-            trace.append(t, r1, r2, r3, obj, state.mu)
-            y3 = state.y3
+            primal = residuals(state, mat, mats)
+            trace.append(*primal, obj, state.mu)
             update_multipliers(state, mat, cfg, mats)
-            spare = y3  # J - Z became the new Y3
-            if max(r1, r2, r3) < cfg.tol:
+            del fit, mats  # not held across the next H step
+            if max(primal) < cfg.tol:
                 converged = True
                 break
 
-    del spare, y3  # the KKT check's J - Z takes the spare's place
-    kkt = kkt_residuals(state, mat, lam, v, n)
+    del spare  # the KKT check's temporaries take its place
+    # the multiplier step leaves P, H, Z, E and J as they were, so the last
+    # traced residuals are the final iterate's primal gaps
+    kkt = kkt_residuals(state, mat, lam, v, n, primal=primal)
     return SolverOutput(z=state.z, trace=trace, converged=converged,
                         state=state, kkt=kkt)
 
@@ -495,42 +489,39 @@ def aggregate_z(z, v, n):
     return z.reshape(v, n, v, n).sum(axis=(0, 2))
 
 
-def kkt_residuals(state, xa, lam, v, n):
+def kkt_residuals(state, xa, lam, v, n, primal=None):
     """First-order stationarity gaps at the current iterate.
 
-    The primal gaps are the three max-abs constraint residuals. The e_gap is
-    the worst columnwise distance of [Y1; Y2] from the l2,1 subdifferential
-    at E (the unit-normalized column for active columns, the unit ball for
-    zero columns). The j_gap measures the l1 condition on J: on active
+    The primal gaps are the three max-abs constraint residuals; `primal`
+    takes them when the caller already has them. The e_gap is the worst
+    columnwise distance of [Y1; Y2] from the l2,1 subdifferential at E (the
+    unit-normalized column for active columns, the unit ball for zero
+    columns). The j_gap measures the l1 condition on J: on active
     off-diagonal-block entries |Y3 + lam * sgn(J)|, on inactive ones the
     excess of |Y3| over lam, and on diagonal blocks |Y3| itself (the penalty
     does not act there, so the multiplier must vanish).
     """
-    p1, p2, p3 = residuals(state, xa)
+    p1, p2, p3 = residuals(state, xa) if primal is None else primal
 
+    # a zero column has E / safe = 0, so its gap is ||Y|| - 1; one inside
+    # the ball is negative and never counts, since the gaps start at 0
     e_norms = col_norms(state.e1, state.e2)
-    gaps = np.maximum(col_norms(state.y1, state.y2) - 1.0, 0.0)
-    act = e_norms > 0
-    if act.any():
-        gaps[act] = col_norms(*(
-            y[:, act] - e[:, act] / e_norms[act]
-            for y, e in ((state.y1, state.e1), (state.y2, state.e2))
-        ))
-    e_gap = float(gaps.max()) if gaps.size else 0.0
+    idle = e_norms == 0
+    safe = e_norms + idle
+    gaps = col_norms(*(y - e / safe for y, e in ((state.y1, state.e1),
+                                                 (state.y2, state.e2))))
+    e_gap = float((gaps - idle).max(initial=0.0))
 
-    # block by block on reshape(v, n, v, n) views: no vn x vn mask
-    jb, yb = state.j.reshape(v, n, v, n), state.y3.reshape(v, n, v, n)
-    j_gap = 0.0
-    for i in range(v):
-        for l in range(v):
-            j, y = jb[i, :, l, :], yb[i, :, l, :]
-            if i == l:
-                gap = np.abs(y)
-            else:
-                # |Y3| - lam may be negative on inactive entries; j_gap
-                # starts at 0, so those never count
-                gap = np.where(j != 0, np.abs(y + lam * np.sign(j)),
-                               np.abs(y) - lam)
-            j_gap = max(j_gap, float(gap.max()))
+    # w is lam on the off-diagonal blocks and 0 on the diagonal ones, where
+    # the gap is |Y3| itself; on inactive entries sgn J = 0 and the gap is
+    # |Y3| - lam
+    w = lam * (1.0 - np.eye(v))[:, None, :, None]
+    jb = state.j.reshape(v, n, v, n)
+    gap = np.sign(jb)
+    gap *= w
+    gap += state.y3.reshape(v, n, v, n)
+    np.abs(gap, out=gap)
+    np.subtract(gap, w, out=gap, where=jb == 0)  # no vn x vn float temporary
+    j_gap = float(gap.max(initial=0.0))
 
     return KktReport(recon=p1, selfrep=p2, aux=p3, e_gap=e_gap, j_gap=j_gap)

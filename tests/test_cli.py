@@ -450,6 +450,18 @@ def test_eval_empty_label_file_is_data_error(tmp_path, capsys):
     assert not caught
 
 
+def test_eval_label_file_with_two_columns_is_data_error(tmp_path, capsys):
+    wide = tmp_path / "wide.txt"
+    np.savetxt(wide, [[0, 1], [1, 0]], fmt="%d")
+    truth = tmp_path / "truth.txt"
+    np.savetxt(truth, [0, 1], fmt="%d")
+    assert cli.main(["eval", str(wide), str(truth)]) == cli.EXIT_DATA
+    record = only_error_record(capsys)
+    assert record["error"] == "DatasetError"
+    assert "one integer per line" in record["message"]
+    assert str(wide) in record["message"]
+
+
 def test_eval_known_case_matches_metrics(tmp_path, capsys):
     from elmsc.metrics import LabelPair, all_metrics
 
@@ -620,9 +632,9 @@ def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
     kkt_data = []
     kkt_residuals = solver.kkt_residuals
 
-    def recording(state, xa_mat, *args):
+    def recording(state, xa_mat, *args, **kwargs):
         kkt_data.append(xa_mat)
-        return kkt_residuals(state, xa_mat, *args)
+        return kkt_residuals(state, xa_mat, *args, **kwargs)
 
     monkeypatch.setattr(solver, "kkt_residuals", recording)
     scfg = solver.ElmscConfig(lam=1.0, latent_dim=3, ablation=ablation)

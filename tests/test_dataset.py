@@ -436,6 +436,16 @@ def test_load_dataset_refuses_empty_labels_file(tmp_path):
     assert not caught
 
 
+@pytest.mark.parametrize("text", ["0 1\n1 0\n1 1\n", "0 1\n"],
+                         ids=["n-by-2", "one-line"])
+def test_load_labels_refuses_more_than_one_value_on_a_line(tmp_path, text):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match="one integer per line") as info:
+        load_labels(path)
+    assert str(path) in str(info.value)
+
+
 def test_load_labels_non_integer_and_missing(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n1.5\n")

@@ -633,7 +633,7 @@ def test_run_buffer_reuse_is_bit_identical(monkeypatch, view_dims, views,
     for name in ("update_h", "update_z", "update_j", "_residual_mats"):
         monkeypatch.setattr(solver, name, dropping_buffers(getattr(solver, name)))
     fresh = run(xa, cfg)
-    for column in ("iters", "r1", "r2", "r3", "objective", "mu"):
+    for column in ("r1", "r2", "r3", "objective", "mu"):
         assert np.array_equal(getattr(reused.trace, column),
                               getattr(fresh.trace, column)), column
     for name in ("z", "j", "y3"):
@@ -642,11 +642,12 @@ def test_run_buffer_reuse_is_bit_identical(monkeypatch, view_dims, views,
 
 
 def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
-    made = []
+    made = []  # the arrays each fresh state started with
 
     def recording_init_state(xa, cfg):
-        made.append(init_state(xa, cfg))
-        return made[-1]
+        state = init_state(xa, cfg)
+        made.append(dict(vars(state)))
+        return state
 
     monkeypatch.setattr(solver, "init_state", recording_init_state)
     xa, cfg = shaped_case([8, 6, 7], 3, "full", per_cluster=30)
@@ -661,8 +662,11 @@ def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(out.trace) == 3
-    assert out.z is made[-1].z
-    assert out.state.j is made[-1].j
+    assert out.z is made[-1]["z"]
+    # J is rewritten in place, the multipliers updated in place, not
+    # rotated through the spare
+    for name in ("j", "y1", "y2", "y3"):
+        assert getattr(out.state, name) is made[-1][name], name
     # before the buffers were reused, this warm run peaked at 3,066,220
     # bytes, 5.2576 vn x vn buffers: Z, J, Y3, B and the Cholesky copy of B
     assert peak / (8.0 * vn * vn) <= 5.2576
@@ -888,6 +892,58 @@ def test_kkt_j_gap_zero_for_shrinkage_consistent_state():
     update_multipliers(st, xa, cfg)
     report = kkt_residuals(st, xa, cfg.lam, 2, 3)
     assert report.j_gap <= 1e-10
+
+
+@pytest.mark.parametrize("zero_col_norm", [0.5, 5.0])
+@pytest.mark.parametrize("spike", ["diagonal", "active", "inactive"])
+def test_kkt_dual_gaps_match_columnwise_and_entrywise_oracles(zero_col_norm,
+                                                              spike):
+    # zero and nonzero E columns side by side, and exact zeros inside J's
+    # off-diagonal blocks; the zero columns' multipliers sit inside the
+    # unit ball or decide the e_gap, and a spike in Y3 makes one kind of
+    # J entry decide the j_gap
+    rng = np.random.default_rng(32)
+    v, n, lam = 3, 4, 0.3
+    vn = v * n
+    st = random_admm_state(rng, d=5, k=2, v=v, n=n)
+    xa = make_xa(rng, 5, vn)
+    for e in (st.e1, st.e2):
+        e[:, [1, 6]] = 0.0
+    y = np.vstack([st.y1, st.y2])
+    y[:, [1, 6]] *= zero_col_norm / np.linalg.norm(y[:, [1, 6]], axis=0)
+    st.y1, st.y2 = y[:5], y[5:]
+    off = np.kron(1 - np.eye(v), np.ones((n, n))).astype(bool)
+    st.j[off & (rng.random((vn, vn)) < 0.5)] = 0.0
+    st.j[0, n], st.j[0, 2 * n] = 0.0, 0.5
+    where = {"diagonal": (0, 1), "active": (0, 2 * n), "inactive": (0, n)}
+    st.y3[where[spike]] = 7.0
+    report = kkt_residuals(st, xa, lam, v, n)
+
+    e = np.vstack([st.e1, st.e2])
+    e_gap = 0.0
+    for c in range(vn):
+        norm = np.linalg.norm(e[:, c])
+        if norm > 0:
+            e_gap = max(e_gap, np.linalg.norm(y[:, c] - e[:, c] / norm))
+        else:
+            e_gap = max(e_gap, np.linalg.norm(y[:, c]) - 1.0)
+    j_gap = 0.0
+    for a in range(vn):
+        for b in range(vn):
+            y3, j = st.y3[a, b], st.j[a, b]
+            if a // n == b // n:
+                j_gap = max(j_gap, abs(y3))
+            elif j != 0:
+                j_gap = max(j_gap, abs(y3 + lam * np.sign(j)))
+            else:
+                j_gap = max(j_gap, abs(y3) - lam)
+    assert report.e_gap == pytest.approx(e_gap, rel=1e-12)
+    if zero_col_norm > 1:
+        assert report.e_gap == pytest.approx(zero_col_norm - 1.0, rel=1e-12)
+    assert report.j_gap == pytest.approx(j_gap, rel=1e-12)
+    assert report.j_gap == pytest.approx(
+        {"diagonal": 7.0, "active": 7.0 + lam, "inactive": 7.0 - lam}[spike],
+        rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ TRACED_CLUSTER = ROOT / "bench" / "traced_cluster.py"
 BENCH_RUN = ROOT / "bench" / "run.py"
 README = ROOT / "README.md"
 
-# calls per iteration that `run` makes to each traced solver-module layer;
-# the final KKT check adds one `residuals` call per solve
+# calls per iteration that `run` makes to each traced solver-module layer
 PER_ITERATION = {
     "update_p": 1, "update_h": 1, "update_z": 1, "update_e": 1,
     "update_j": 1, "residuals": 1, "objective": 1, "update_multipliers": 1,
@@ -72,8 +71,7 @@ def test_run_calls_every_traced_solver_layer_through_its_attribute(monkeypatch):
     out = solver.run(build_augmented(ds, 3),
                      ElmscConfig(lam=1.0, latent_dim=3, tol=1e-300, max_iter=3))
     assert len(out.trace) == 3
-    assert calls == {attr: 3 * n + (attr == "residuals")
-                     for attr, n in PER_ITERATION.items()}
+    assert calls == {attr: 3 * n for attr, n in PER_ITERATION.items()}
 
 
 def traced_solve(traced, per_cluster, latent_dim, max_iter):
@@ -108,7 +106,7 @@ def test_traced_benchmark_hooks_record_every_solver_layer():
     calls = tracer.summary()["calls"]
     assert calls["solver.run"] == calls["solver.kkt_residuals"] == 1
     for attr, n in PER_ITERATION.items():
-        assert calls[names[attr]] == 2 * n + (attr == "residuals"), attr
+        assert calls[names[attr]] == 2 * n, attr
     assert tracer.spd_gflop > 0
 
 
