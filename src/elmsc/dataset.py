@@ -266,6 +266,13 @@ def _load_matrix(path, view_name):
     return mat
 
 
+def _widest_line(path):
+    """Most whitespace-separated values on one line, comments excluded."""
+    with open(path, errors="replace") as fh:
+        return max((len(line.split("#", 1)[0].split()) for line in fh),
+                   default=0)
+
+
 def load_labels(path):
     """Integer labels from a text file holding one integer per line."""
     try:
@@ -276,10 +283,16 @@ def load_labels(path):
     except OSError as exc:
         raise DatasetError(f"cannot read label file {path}: {exc}") from exc
     except ValueError as exc:
-        raise DatasetError(f"label file {path} is not integer-valued: {exc}") from exc
-    if labels.shape[1] != 1:
+        # a ragged file fails to parse before its width can be checked
+        width = _widest_line(path)
+        if width <= 1:
+            raise DatasetError(
+                f"label file {path} is not integer-valued: {exc}") from exc
+    else:
+        width = labels.shape[1]
+    if width != 1:
         raise DatasetError(f"label file {path} must hold one integer per line, "
-                           f"got {labels.shape[1]} values on a line")
+                           f"got {width} values on a line")
     if labels.size == 0:
         raise DatasetError(f"label file {path} holds no labels")
     return labels[:, 0]

@@ -8,7 +8,7 @@ operators are implemented here directly.
 import logging
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, qr
 
 logger = logging.getLogger(__name__)
 SYLVESTER_SINGULAR_TOL = 1e-12
@@ -115,20 +115,24 @@ def solve_sylvester(a, b, c):
 def orthogonal_procrustes(k):
     """Row-orthonormal maximizer of trace(R @ k.T) for an r x c input, r <= c.
 
-    R = u @ vt from the thin SVD of k; R @ R.T = I_r holds for any input,
-    including rank-deficient ones (a degeneracy warning is logged).
+    R = u @ vt from the thin SVD k = u s vt, taken through the reduced QR
+    k.T = q t: with u s wt the SVD of the r x r t.T, R = (u @ wt) @ q.T.
+    (An eigh of k @ k.T would square the condition number.) R @ R.T = I_r
+    holds for any input, including rank-deficient ones (a degeneracy
+    warning is logged).
     """
     k = _as_matrix(k, "k")
     r, c = k.shape
     if r > c:
         raise ValueError(f"procrustes input must have rows <= cols, got {r}x{c}")
-    u, s, vt = svd(k)
+    q, t = qr(k.T, mode="economic", check_finite=False)
+    u, s, wt = svd(t.T)
     if s[-1] <= 1e-12 * max(s[0], 1e-300):
         logger.warning(
             "rank-deficient procrustes input (%dx%d, smallest singular value %.3e)",
             r, c, s[-1],
         )
-    return u @ vt
+    return (u @ wt) @ q.T
 
 
 def soft_threshold(m, eta, out=None):

@@ -40,8 +40,10 @@ class ElmscConfig:
 
     `lam` weighs the l1 penalty on the off-diagonal blocks of Z; `latent_dim`
     is the row count of H. The penalty starts at mu0 and grows by rho per
-    iteration up to mu_max; rho = 2 needs about a third of the iterations of
-    rho = 1.2 and passes the same acceptance gate. Ablations: "v1"
+    iteration up to mu_max. rho = 3 needs about 30% fewer iterations than
+    rho = 2 at the same clustering accuracy, though where lam is large it
+    stops at a higher objective value; rho = 4 saves a few more iterations
+    but lowers the accuracy on a noisy low-dimensional family. Ablations: "v1"
     drops the sparsity term (lam treated as 0), "v2" zeroes the off-diagonal
     blocks of the augmented data matrix before solving.
     """
@@ -50,7 +52,7 @@ class ElmscConfig:
     latent_dim: int
     mu0: float = 1e-4
     mu_max: float = 1e6
-    rho: float = 2.0
+    rho: float = 3.0
     tol: float = 1e-3
     max_iter: int = 100
     seed: int = 0
@@ -228,8 +230,9 @@ def update_p(state, xa, target=None):
 # vn = 600. Measured with one OpenBLAS thread on a 2-vCPU x86-64 host
 # (Haswell kernels): the syrk plus Cholesky at vn = 600 took 8.8 ms, one CG
 # product 0.70 ms at k = 8 (half the factorization's flop rate) and 1.3 ms
-# at k = 30. On the dense-k8 benchmark data (vn = 600, k = 8) CG took a
-# median of 7 iterations, at most 9.
+# at k = 30. On the dense-k8 benchmark data (vn = 600, k = 8, rho = 3, 20
+# seeds) CG took 1 and 2 iterations in the first two H steps, then 4-8,
+# median 7.
 CG_ITERS = 10
 
 
@@ -282,26 +285,29 @@ def update_h(state, xa, pta=None, out=None):
 def update_z(state, out=None, tmp=None):
     """Representation step: closed-form solve of the quadratic subproblem.
 
-    The normal equations are (I + H.T H) Z = R0 + H.T H with
-    R0 = J + Y3/mu + H.T (Y2/mu - E2). By the push-through identity
-    (I + H.T H)^-1 H.T H = H.T S^-1 H with S = I_k + H H.T, so
-    Z = R0 + H.T S^-1 (H - H R0): one k x k Cholesky, no vn x vn
-    factorization. The textbook Woodbury form R - H.T S^-1 H R with
-    R = R0 + H.T H would cancel two terms of size |H|^2 into an O(1)
-    result once H grows large.
+    The normal equations are (I + H.T H) Z = A + H.T (H + D) with
+    A = J + Y3/mu and D = Y2/mu - E2. By the push-through identity
+    (I + H.T H)^-1 H.T = H.T S^-1 with S = I_k + H H.T, and by Woodbury,
+    Z = A + H.T S^-1 (H + D - H A): one k x k Cholesky and two k x vn^2
+    products, no vn x vn factorization. No term of size |H|^2 is formed;
+    the textbook Woodbury form R - H.T S^-1 H R with R = A + H.T (H + D)
+    would cancel two of them into an O(1) result once H grows large.
 
     The result goes to `out` when given, and `tmp` takes a second vn x vn
-    buffer for the two vn x vn terms added to it. `out` may be Z's own
+    buffer for the term H.T S^-1 (...) added to it. `out` may be Z's own
     buffer, whatever it holds, since the step does not read Z; neither may
     be J or Y3, which it reads, nor may the two be the same.
     """
     h, mu = state.h, state.mu
-    r0 = np.matmul(h.T, state.y2 / mu - state.e2, out=out)
-    r0 += state.j
-    r0 += np.divide(state.y3, mu, out=tmp)
+    a = np.divide(state.y3, mu, out=out)
+    a += state.j
+    g = state.y2 / mu
+    g -= state.e2
+    g += h
+    g -= h @ a
     s = np.eye(h.shape[0]) + h @ h.T
-    r0 += np.matmul(h.T, spd_solve(s, h - h @ r0), out=tmp)
-    return r0
+    a += np.matmul(h.T, spd_solve(s, g), out=tmp)
+    return a
 
 
 def _fit_mats(state, xa):

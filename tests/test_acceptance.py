@@ -247,6 +247,13 @@ def test_criterion_3_convergence(noisy_runs):
     )
 
 
+def test_noisy_family_mean_iterations(noisy_runs):
+    # the penalty growth rho sets the iteration count: about 16.6 on this
+    # family at rho = 2, about 12.7 at the default rho = 3
+    mean_iters = float(np.mean([r["iterations"] for r in noisy_runs]))
+    assert mean_iters <= 14, f"mean iterations {mean_iters:.1f} (limit 14)"
+
+
 # ---------------------------------------------------------------------------
 # 4. end-to-end recovery
 # ---------------------------------------------------------------------------

@@ -436,8 +436,8 @@ def test_load_dataset_refuses_empty_labels_file(tmp_path):
     assert not caught
 
 
-@pytest.mark.parametrize("text", ["0 1\n1 0\n1 1\n", "0 1\n"],
-                         ids=["n-by-2", "one-line"])
+@pytest.mark.parametrize("text", ["0 1\n1 0\n1 1\n", "0 1\n", "1\n2 3\n"],
+                         ids=["n-by-2", "one-line", "ragged"])
 def test_load_labels_refuses_more_than_one_value_on_a_line(tmp_path, text):
     path = tmp_path / "labels.txt"
     path.write_text(text)

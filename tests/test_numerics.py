@@ -195,6 +195,18 @@ def test_procrustes_row_orthonormal_always():
         assert_allclose(r @ r.T, np.eye(r_dim), atol=1e-10)
 
 
+def test_procrustes_ill_conditioned_matches_svd_factor():
+    # singular values 1 .. 1e-5: a route through k @ k.T would square the
+    # condition number to 1e10 and miss both bounds
+    rng = np.random.default_rng(7)
+    u = random_row_orthonormal(rng, 30, 30)
+    vt = random_row_orthonormal(rng, 30, 200)
+    k = (u * np.logspace(0, -5, 30)) @ vt
+    r = orthogonal_procrustes(k)
+    assert np.abs(r - u @ vt).max() <= 1e-9
+    assert np.abs(r @ r.T - np.eye(30)).max() <= 1e-12
+
+
 def test_procrustes_rank_deficient_still_orthonormal(caplog):
     k = np.outer([1.0, 2.0], [1.0, 0.0, -1.0, 3.0])  # rank 1, 2x4
     with caplog.at_level("WARNING"):

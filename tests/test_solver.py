@@ -46,7 +46,7 @@ def test_config_defaults_match_reference_schedule():
     cfg = ElmscConfig(lam=1.0, latent_dim=5)
     assert cfg.mu0 == 1e-4
     assert cfg.mu_max == 1e6
-    assert cfg.rho == 2.0
+    assert cfg.rho == 3.0
     assert cfg.tol == 1e-3
     assert cfg.max_iter == 100
 
