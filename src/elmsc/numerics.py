@@ -1,14 +1,13 @@
 """Dense-matrix kernels and proximal operators used throughout the toolkit.
 
-All functions take and return float64 numpy arrays. Factorizations are
-delegated to LAPACK (via numpy/scipy); the Sylvester solver and the proximal
-operators are implemented here directly.
+All functions take and return float64 numpy arrays. Factorizations go to
+LAPACK through numpy, and spd_solve's Cholesky through scipy.linalg, imported
+on first use; the Sylvester solver and the proximal operators are here.
 """
 
 import logging
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr
 
 logger = logging.getLogger(__name__)
 SYLVESTER_SINGULAR_TOL = 1e-12
@@ -125,7 +124,7 @@ def orthogonal_procrustes(k):
     r, c = k.shape
     if r > c:
         raise ValueError(f"procrustes input must have rows <= cols, got {r}x{c}")
-    q, t = qr(k.T, mode="economic", check_finite=False)
+    q, t = np.linalg.qr(k.T)
     u, s, wt = svd(t.T)
     if s[-1] <= 1e-12 * max(s[0], 1e-300):
         logger.warning(
@@ -254,7 +253,8 @@ def gram_cg_solve(w, b, x0):
 
 
 def spd_solve(a, b):
-    """Solve a @ X = b for symmetric positive definite a via Cholesky."""
+    """Solve a @ X = b for SPD a by SciPy's Cholesky, imported on first use."""
+    from scipy.linalg import cho_factor, cho_solve
     a = _as_matrix(a, "a")
     b = np.asarray(b, dtype=np.float64)
     try:

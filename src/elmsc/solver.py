@@ -5,7 +5,7 @@ Z, error E, auxiliary J), then performs dual ascent on three multipliers with
 an increasing penalty. P comes from an orthogonal Procrustes step. H solves
 a Sylvester system, SPD since P is orthonormal: by conjugate gradients on
 its k rows when k is small against vn, else by one Cholesky factorization of
-the vn x vn Gram. Z comes from a k x k Cholesky through the push-through
+the vn x vn Gram. Z comes from a k x k LU solve through the push-through
 identity (Z's system I + H.T H is the identity plus a rank-k term), E from
 the columnwise l2,1 proximal map, and J from block-diagonal-preserving
 shrinkage.
@@ -21,6 +21,7 @@ from ._seeds import rng_from
 from .dataset import finite_real
 from .numerics import (
     NumericalError,
+    _as_matrix,
     col_l21_prox,
     col_norms,
     gram_cg_solve,
@@ -288,10 +289,11 @@ def update_z(state, out=None, tmp=None):
     The normal equations are (I + H.T H) Z = A + H.T (H + D) with
     A = J + Y3/mu and D = Y2/mu - E2. By the push-through identity
     (I + H.T H)^-1 H.T = H.T S^-1 with S = I_k + H H.T, and by Woodbury,
-    Z = A + H.T S^-1 (H + D - H A): one k x k Cholesky and two k x vn^2
-    products, no vn x vn factorization. No term of size |H|^2 is formed;
-    the textbook Woodbury form R - H.T S^-1 H R with R = A + H.T (H + D)
-    would cancel two of them into an O(1) result once H grows large.
+    Z = A + H.T S^-1 (H + D - H A): one k x k LU solve (S >= I, so partial
+    pivoting is stable and S never singular) and two k x vn^2 products, no
+    vn x vn factorization. No term of size |H|^2 is formed; the textbook
+    Woodbury form R - H.T S^-1 H R with R = A + H.T (H + D) would cancel
+    two of them into an O(1) result once H grows large.
 
     The result goes to `out` when given, and `tmp` takes a second vn x vn
     buffer for the term H.T S^-1 (...) added to it. `out` may be Z's own
@@ -305,8 +307,8 @@ def update_z(state, out=None, tmp=None):
     g -= state.e2
     g += h
     g -= h @ a
-    s = np.eye(h.shape[0]) + h @ h.T
-    a += np.matmul(h.T, spd_solve(s, g), out=tmp)
+    s = _as_matrix(np.eye(h.shape[0]) + h @ h.T, "S")
+    a += np.matmul(h.T, np.linalg.solve(s, g), out=tmp)
     return a
 
 

@@ -220,6 +220,17 @@ def test_update_z_degenerate_when_h_zero():
     assert_allclose(z, st.j + st.y3 / st.mu, atol=1e-10)
 
 
+def test_update_z_non_finite_h_is_numerical_error():
+    # the k x k system S = I + H H.T is checked before numpy's solve, so an
+    # overflowed H keeps the solver's exit class
+    rng = np.random.default_rng(12)
+    st = random_admm_state(rng, d=6, k=2, v=1, n=4, mu=2.0)
+    st.h[1, 2] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                  match="S contains NaN/Inf"):
+        update_z(st)
+
+
 def test_update_z_residual_identity():
     rng = np.random.default_rng(10)
     st = random_admm_state(rng, d=6, k=3, v=2, n=3, mu=1.4)
@@ -341,7 +352,9 @@ def test_run_cg_h_step_falls_back_to_dense_at_its_cap(monkeypatch, cap):
     capped = run(xa, cfg)
     iters = len(capped.trace)
     assert cg_runs == [1] * cap + [None] * (iters - cap)
-    assert len(spd_calls) == 2 * iters - cap
+    # the Z step solves its k x k system without spd_solve, so every call
+    # is a dense H step
+    assert len(spd_calls) == iters - cap
     monkeypatch.setattr(solver, "update_h", dense_update_h)
     dense = run(xa, cfg)
     assert iters == len(dense.trace) == len(ref.trace)

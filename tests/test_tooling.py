@@ -25,7 +25,7 @@ README = ROOT / "README.md"
 PER_ITERATION = {
     "update_p": 1, "update_h": 1, "update_z": 1, "update_e": 1,
     "update_j": 1, "residuals": 1, "objective": 1, "update_multipliers": 1,
-    "spd_solve": 2, "solve_sylvester": 0, "orthogonal_procrustes": 1,
+    "spd_solve": 1, "solve_sylvester": 0, "orthogonal_procrustes": 1,
     "col_l21_prox": 1, "soft_threshold": 1,
 }
 
@@ -112,13 +112,13 @@ def test_traced_benchmark_hooks_record_every_solver_layer():
 
 def test_traced_benchmark_hooks_on_the_cg_h_step():
     # vn = 80 > 36 k: the cost rule takes the CG H step, which calls no
-    # spd_solve, so only the Z step's does
+    # spd_solve, and the Z step's k x k solve does not either
     traced = load_traced()
     tracer = traced_solve(traced, per_cluster=20, latent_dim=2, max_iter=3)
     calls = tracer.summary()["calls"]
     assert calls["solver.update_h"] == 3
-    assert calls["numerics.spd_solve"] == 3
-    assert tracer.spd_gflop > 0
+    assert calls["numerics.spd_solve"] == 0
+    assert tracer.spd_gflop == 0
 
 
 def test_every_exported_name_resolves():
@@ -192,6 +192,40 @@ def test_every_benchmark_workload_holds_its_acc_floor(tmp_path):
         assert trial["metrics"]["acc"] >= workload["acc_floor"], name
 
 
+def run_child(child):
+    """Run `child` in a fresh interpreter on the source tree; its stdout."""
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_cluster_loads_scipy_only_for_the_dense_h_step(tmp_path):
+    # importing scipy.linalg costs about a quarter of a small cluster
+    # process; only the vn x vn Cholesky of the dense H step imports it.
+    # vn = 80 > 36 k takes the CG H step, vn = 24 < 36 k the dense one
+    cg = {"clusters": 2, "per_cluster": 20, "views": 2, "latent_dim": 3,
+          "view_dims": [6, 5], "noise_sigma": 0.1, "seed": 0}
+    runs = [
+        ["cluster", "--synthetic", json.dumps(spec), "--clusters", "2",
+         "--latent-dim", k, "--trials", "1", "--out", str(tmp_path / k)]
+        for spec, k in ((cg, "2"), (dict(cg, per_cluster=6), "3"))
+    ]
+    child = (
+        "import sys\n"
+        "from elmsc import cli\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy())\n"
+        f"for argv in {runs!r}:\n"
+        "    print(cli.main(argv), bool(scipy()), 'scipy.linalg' in scipy())\n"
+    )
+    out = run_child(child).splitlines()
+    assert out[-3:] == ["[]", "0 False False", "0 True True"], out
+
+
 def test_cli_eval_does_not_load_scipy_optimize(tmp_path):
     # importing scipy.optimize adds about 21 MiB to every elmsc process;
     # ACC's matching is computed in `metrics` so that no path needs it
@@ -203,10 +237,5 @@ def test_cli_eval_does_not_load_scipy_optimize(tmp_path):
         f"code = cli.main(['eval', {str(labels)!r}, {str(labels)!r}])\n"
         "print(code, 'scipy.optimize' in sys.modules)\n"
     )
-    src = str(ROOT / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = run_child(child)
     assert out.splitlines()[-1] == "0 False", out
