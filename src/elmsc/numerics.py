@@ -159,20 +159,27 @@ def col_norms(*blocks):
     return np.sqrt(sq)
 
 
-def col_l21_prox(g, tau, out=None):
+def l21_scale(norms, tau):
+    """col_l21_prox's column factors for columns of these norms; a NaN/Inf
+    norm, which any NaN/Inf entry of its column gives, is a NonFiniteError."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if not np.isfinite(norms).all():
+        raise NonFiniteError("g contains NaN/Inf entries (non-finite norms)")
+    return np.divide(norms - tau, norms, out=np.zeros_like(norms),
+                     where=norms > tau)
+
+
+def col_l21_prox(g, tau, out=None, norms=None):
     """Columnwise proximal operator of tau * ||.||_{2,1}.
 
     Column i becomes ((||g_i|| - tau)/||g_i||) * g_i when ||g_i|| > tau and
     zero otherwise; this minimizes tau*||E||_{2,1} + 0.5*||E - g||_F^2.
-    The result goes to `out` when given, which may be g itself.
+    The result goes to `out` when given, which may be g itself. `norms`
+    takes g's column norms, or for a row block g those of the whole matrix.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     g = _as_matrix(g, "g")
-    norms = col_norms(g)
-    scale = np.zeros_like(norms)
-    nz = norms > tau
-    scale[nz] = (norms[nz] - tau) / norms[nz]
+    scale = l21_scale(col_norms(g) if norms is None else norms, tau)
     return np.multiply(g, scale[None, :], out=out)
 
 

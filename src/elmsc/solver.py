@@ -25,6 +25,7 @@ from .numerics import (
     col_l21_prox,
     col_norms,
     gram_cg_solve,
+    l21_scale,
     orthogonal_procrustes,
     soft_threshold,
     solve_sylvester,
@@ -205,11 +206,28 @@ def init_state(xa, cfg):
     )
 
 
-def _latent_target(state, xa):
-    """T = X + Y1/mu - E1: the matrix P H is pulled toward in the P and H steps."""
-    t = np.divide(state.y1, state.mu)
-    t += xa
-    t -= state.e1
+# rows per panel of the d x vn passes: a 32 x vn scratch buffer is small
+PANEL_ROWS = 32
+
+
+def _row_panels(rows, cols):
+    """(rows slice, scratch of its shape) per panel; one buffer serves all."""
+    buf = np.empty((min(rows, PANEL_ROWS), cols))
+    for i in range(0, rows, PANEL_ROWS):
+        yield slice(i, i + PANEL_ROWS), buf[:min(rows - i, PANEL_ROWS)]
+
+
+def _latent_target(state, xa, out=None):
+    """T = X + Y1/mu - E1: the matrix P H is pulled toward in the P and H steps.
+
+    Formed as (Y1/mu + X) - E1 by row panels into `out`, else a new array;
+    `out` may be E1's own buffer, as in `run`: each panel is read first.
+    """
+    t = np.empty(xa.shape) if out is None else out
+    for s, panel in _row_panels(*t.shape):
+        np.divide(state.y1[s], state.mu, out=panel)
+        panel += xa[s]
+        np.subtract(panel, state.e1[s], out=t[s])
     return t
 
 
@@ -243,13 +261,14 @@ def update_h(state, xa, pta=None, out=None):
     The subproblem's normal equations, divided through by mu, have
     A = P.T P, B = W W.T with W = I - Z, and C = P.T T - (Y2/mu - E2) W.T,
     where T = X + Y1/mu - E1 is update_p's target; `pta` takes the k x vn
-    product P.T T when the caller already has it. When P is orthonormal,
-    as update_p always returns it, A is I and the system reduces to
-    H (I + W W.T) = C, SPD. Its solver is chosen from the shapes alone:
-    for k small against vn, conjugate gradients on the k rows
-    (`gram_cg_solve`), warm-started from the current H and needing only
-    products with W; otherwise, or when CG gives up (at its iteration cap,
-    or on overflow), the vn x vn Gram W W.T and one Cholesky factorization.
+    product P.T T when the caller has it, and then E1 (in `run`, holding T
+    by then) is not read. When P is orthonormal, as update_p always returns
+    it, A is I and the system reduces to H (I + W W.T) = C, SPD. Its
+    solver is chosen from the shapes alone: for k small against vn,
+    conjugate gradients on the k rows (`gram_cg_solve`), warm-started from
+    the current H and needing only products with W; otherwise, or when CG
+    gives up (at its iteration cap, or on overflow), the vn x vn Gram
+    W W.T and one Cholesky factorization.
     The general Sylvester branch is the path for P that is not orthonormal,
     which `run` never reaches; it keeps the step a solver of the
     H-subproblem for any P.
@@ -312,33 +331,37 @@ def update_z(state, out=None, tmp=None):
     return a
 
 
-def _fit_mats(state, xa):
-    """(X - P H, H - H Z): the coupling gaps before the error terms."""
-    dx = state.p @ state.h
-    np.subtract(xa, dx, out=dx)
-    dh = state.h @ state.z
-    np.subtract(state.h, dh, out=dh)
-    return dx, dh
-
-
-def update_e(state, xa, fit=None, out=None):
+def update_e(state, xa, out=None, ascent=False):
     """Error step: columnwise l2,1 shrinkage of the stacked residual target.
 
-    The target [X - P H + Y1/mu; H - H Z + Y2/mu] is written straight into
-    one (d+k) x vn buffer, `out` when given, and shrunk in place; E1 and E2
-    are returned as views of it. `fit` takes (X - P H, H - H Z) when the
-    caller already has them; they are not modified.
+    G = [X - P H + Y1/mu; H - H Z + Y2/mu] is formed in one (d+k) x vn
+    buffer, `out` when given (P H is written first, so it may hold anything:
+    in `run`, T), and shrunk in place; E1 and E2 are returned as its views.
+    Each row panel of G1 yields its rows of R1 = (G1 - Y1/mu) - E1 as it is
+    shrunk; with `ascent` Y1 takes its dual step Y1 += mu R1 there, and the
+    step returns (E1, E2, max |R1|, R2 = H - H Z - E2).
     """
-    mu = state.mu
-    dx, dh = _fit_mats(state, xa) if fit is None else fit
-    d = dx.shape[0]
-    g = np.empty((d + dh.shape[0], dx.shape[1])) if out is None else out
-    np.divide(state.y1, mu, out=g[:d])
-    g[:d] += dx
-    np.divide(state.y2, mu, out=g[d:])
-    g[d:] += dh
-    e = col_l21_prox(g, 1.0 / mu, out=g)
-    return e[:d], e[d:]
+    mu, (d, vn) = state.mu, xa.shape
+    g = np.empty((d + state.h.shape[0], vn)) if out is None else out
+    g1 = np.subtract(xa, np.matmul(state.p, state.h, out=g[:d]), out=g[:d])
+    for s, panel in _row_panels(d, vn):
+        g1[s] += np.divide(state.y1[s], mu, out=panel)
+    dh = state.h - state.h @ state.z
+    e2 = np.add(state.y2 / mu, dh, out=g[d:])
+    norms = col_norms(g)
+    scale = l21_scale(norms, 1.0 / mu)
+    peak = 0.0
+    for s, r in _row_panels(d, vn):
+        np.subtract(g1[s], np.divide(state.y1[s], mu, out=r), out=r)
+        g1[s] *= scale
+        r -= g1[s]
+        peak = np.maximum(peak, np.maximum(r.max(), -r.min()))  # keeps NaN
+        if ascent:
+            r *= mu
+            state.y1[s] += r
+    col_l21_prox(e2, 1.0 / mu, out=e2, norms=norms)
+    dh -= e2
+    return (g1, e2, float(peak), dh) if ascent else (g1, e2)
 
 
 def update_j(state, lam, v, n, out=None, tmp=None):
@@ -357,23 +380,21 @@ def update_j(state, lam, v, n, out=None, tmp=None):
     return j
 
 
-def _residual_mats(state, xa, fit=None, out=None):
-    """(X - P H - E1, H - H Z - E2, J - Z); built in place over `fit`, with
-    J - Z written to `out` when given."""
-    r1, r2 = _fit_mats(state, xa) if fit is None else fit
-    r1 -= state.e1
-    r2 -= state.e2
-    return r1, r2, np.subtract(state.j, state.z, out=out)
+def _residual_mats(state, xa):
+    """(X - P H - E1, H - H Z - E2, J - Z), each a new array."""
+    return (xa - state.p @ state.h - state.e1,
+            state.h - state.h @ state.z - state.e2, state.j - state.z)
 
 
 def residuals(state, xa, mats=None):
     """Max-abs feasibility residuals of the three coupling constraints.
 
-    `mats` takes the residual matrices when the caller already has them.
+    `mats` takes the residual matrices, or their max-abs values, when the
+    caller already has them.
     """
     if mats is None:
         mats = _residual_mats(state, xa)
-    return tuple(float(max(r.max(), -r.min())) for r in mats)
+    return tuple(float(max(np.max(r), -np.min(r))) for r in mats)
 
 
 def update_multipliers(state, xa, cfg, mats=None):
@@ -381,12 +402,15 @@ def update_multipliers(state, xa, cfg, mats=None):
     mu <- min(rho mu, mu_max).
 
     `mats` takes the residual matrices R when the caller already has them;
-    they are consumed as scratch. The multipliers are updated in place, so
-    the step allocates nothing.
+    they are consumed as scratch, and an R of None leaves its multiplier
+    as it is (`run` steps Y1 in the E step). The multipliers are updated
+    in place, so the step allocates nothing.
     """
     if mats is None:
         mats = _residual_mats(state, xa)
     for r, y in zip(mats, (state.y1, state.y2, state.y3)):
+        if r is None:
+            continue
         r *= state.mu
         y += r
     state.mu = min(cfg.rho * state.mu, cfg.mu_max)
@@ -434,6 +458,7 @@ def run(xa, cfg):
     three residuals drop below cfg.tol or cfg.max_iter is reached. The KKT
     report is taken at the final iterate, against the matrix the solve ran
     on: the augmented matrix, or a copy of its block-diagonal part under v2.
+    E1's buffer holds T from the P step to the E step, which steps Y1 too.
     Deterministic for a fixed seed.
     """
     mat = xa.block_diagonal() if cfg.ablation == "v2" else xa.xa
@@ -443,43 +468,37 @@ def run(xa, cfg):
     state = init_state(xa, cfg)
     e = state.e1.base  # the stacked [E1; E2] that init_state made
     # with one spare, every vn x vn step writes into Z, J or the spare, and
-    # so does the J - Z residual: the loop allocates no vn x vn array of its
-    # own
+    # so does the J - Z residual; beside X, Y1 and E are the only d x vn
+    # arrays: T goes over E1, and the E step refills E and steps Y1
     spare = np.empty_like(state.z)
     trace = ConvergenceTrace()
     converged = False
     with _each_warning_once(numerics_logger):
         for t in range(1, cfg.max_iter + 1):
             try:
-                # every d x vn term is formed once: the target T feeds the P
-                # and H steps, (X - P H, H - H Z) the E step and then, minus E,
-                # the residuals
-                target = _latent_target(state, mat)
+                target = _latent_target(state, mat, out=state.e1)
                 state.p = update_p(state, mat, target=target)
                 pta = state.p.T @ target
-                del target  # not held across the vn x vn factorizations
                 # W = I - Z goes over Z, which nothing reads again before
                 # update_z writes the new Z there
                 state.h = update_h(state, mat, pta=pta, out=(state.z, spare))
                 state.z = update_z(state, out=state.z, tmp=spare)
-                # J before E: neither step reads the other's variable, and
-                # the fit terms are not held across J's vn x vn work
+                # J before E: neither step reads the other's variable
                 state.j = update_j(state, lam, v, n, out=state.j, tmp=spare)
-                fit = _fit_mats(state, mat)
-                state.e1, state.e2 = update_e(state, mat, fit=fit, out=e)
+                state.e1, state.e2, r1, r2 = update_e(state, mat, out=e,
+                                                      ascent=True)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {t}: {exc}") from exc
             obj = objective(state, lam, v, n)
-            mats = _residual_mats(state, mat, fit, out=spare)
-            primal = residuals(state, mat, mats)
+            r3 = np.subtract(state.j, state.z, out=spare)
+            primal = residuals(state, mat, (r1, r2, r3))
             trace.append(*primal, obj, state.mu)
-            update_multipliers(state, mat, cfg, mats)
-            del fit, mats  # not held across the next H step
+            update_multipliers(state, mat, cfg, (None, r2, r3))
             if max(primal) < cfg.tol:
                 converged = True
                 break
 
-    del spare  # the KKT check's temporaries take its place
+    del spare, r3  # the KKT check's temporaries take its place
     # the multiplier step leaves P, H, Z, E and J as they were, so the last
     # traced residuals are the final iterate's primal gaps
     kkt = kkt_residuals(state, mat, lam, v, n, primal=primal)
@@ -504,7 +523,8 @@ def kkt_residuals(state, xa, lam, v, n, primal=None):
     takes them when the caller already has them. The e_gap is the worst
     columnwise distance of [Y1; Y2] from the l2,1 subdifferential at E (the
     unit-normalized column for active columns, the unit ball for zero
-    columns). The j_gap measures the l1 condition on J: on active
+    columns), read from Y and E by row panels into panel-sized temporaries,
+    never a d x vn one. The j_gap is the l1 condition on J: on active
     off-diagonal-block entries |Y3 + lam * sgn(J)|, on inactive ones the
     excess of |Y3| over lam, and on diagonal blocks |Y3| itself (the penalty
     does not act there, so the multiplier must vanish).
@@ -516,9 +536,12 @@ def kkt_residuals(state, xa, lam, v, n, primal=None):
     e_norms = col_norms(state.e1, state.e2)
     idle = e_norms == 0
     safe = e_norms + idle
-    gaps = col_norms(*(y - e / safe for y, e in ((state.y1, state.e1),
-                                                 (state.y2, state.e2))))
-    e_gap = float((gaps - idle).max(initial=0.0))
+    sq = np.zeros_like(e_norms)
+    for y, e in ((state.y1, state.e1), (state.y2, state.e2)):
+        for s, gap in _row_panels(*y.shape):
+            np.subtract(y[s], np.divide(e[s], safe, out=gap), out=gap)
+            sq += np.einsum("ij,ij->j", gap, gap)
+    e_gap = float((np.sqrt(sq) - idle).max(initial=0.0))
 
     # w is lam on the off-diagonal blocks and 0 on the diagonal ones, where
     # the gap is |Y3| itself; on inactive entries sgn J = 0 and the gap is

@@ -285,13 +285,13 @@ def test_run_low_rank_z_matches_dense_reference(monkeypatch):
     assert np.abs(fast.z - dense.z).max() <= 1e-6
 
 
-def dense_update_h(state, xa, **_):
+def dense_update_h(state, xa, pta, **_):
     """Reference H step for orthonormal P: H mu (I + W W.T) = C with the
-    vn x vn Gram factored densely. Takes and ignores `run`'s keywords."""
+    vn x vn Gram factored densely. Takes P.T T from `run`'s `pta`, since
+    E1's buffer holds T during the H step, and ignores its other keywords."""
     mu, vn = state.mu, state.z.shape[0]
     w = np.eye(vn) - state.z
-    c = (state.p.T @ (mu * (xa - state.e1) + state.y1)
-         - (state.y2 - mu * state.e2) @ w.T)
+    c = mu * pta - (state.y2 - mu * state.e2) @ w.T
     return spd_solve(mu * (np.eye(vn) + w @ w.T), c.T).T
 
 
@@ -643,7 +643,7 @@ def test_run_buffer_reuse_is_bit_identical(monkeypatch, view_dims, views,
     # another step has already overwritten
     xa, cfg = shaped_case(view_dims, views, ablation)
     reused = run(xa, cfg)
-    for name in ("update_h", "update_z", "update_j", "_residual_mats"):
+    for name in ("update_h", "update_z", "update_j"):
         monkeypatch.setattr(solver, name, dropping_buffers(getattr(solver, name)))
     fresh = run(xa, cfg)
     for column in ("r1", "r2", "r3", "objective", "mu"):
@@ -652,6 +652,19 @@ def test_run_buffer_reuse_is_bit_identical(monkeypatch, view_dims, views,
     for name in ("z", "j", "y3"):
         assert np.array_equal(getattr(reused.state, name),
                               getattr(fresh.state, name)), name
+
+
+def warm_solve_peak(xa, cfg):
+    """(output, tracemalloc peak in bytes) of a second solve: the first also
+    allocates one-off library state."""
+    run(xa, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = run(xa, cfg)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
@@ -666,14 +679,7 @@ def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
     xa, cfg = shaped_case([8, 6, 7], 3, "full", per_cluster=30)
     cfg = dataclasses.replace(cfg, tol=1e-300, max_iter=3)
     vn = xa.xa.shape[1]  # d = 21 < vn = 270
-    run(xa, cfg)  # the first call also allocates one-off library state
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = run(xa, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    out, peak = warm_solve_peak(xa, cfg)
     assert len(out.trace) == 3
     assert out.z is made[-1]["z"]
     # J is rewritten in place, the multipliers updated in place, not
@@ -683,6 +689,22 @@ def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
     # before the buffers were reused, this warm run peaked at 3,066,220
     # bytes, 5.2576 vn x vn buffers: Z, J, Y3, B and the Cholesky copy of B
     assert peak / (8.0 * vn * vn) <= 5.2576
+
+
+def test_run_holds_two_d_by_vn_arrays_on_a_wide_input():
+    # beside X a solve holds two d x vn arrays, Y1 and the stacked E, and at
+    # most Z, J, Y3, the spare, B and B's Cholesky copy among vn x vn ones
+    ds = gen_synthetic(clusters=3, per_cluster=20, views=2, latent_dim=4,
+                       view_dims=[300, 240], noise_sigma=0.1, seed=1)
+    xa = build_augmented(ds, default_pca_components(3, ds))
+    d, vn = xa.xa.shape  # d = 540 = 4.5 vn; k = 4 takes the dense H step
+    cfg = ElmscConfig(lam=0.5, latent_dim=4, seed=2, tol=1e-300, max_iter=3)
+    out, peak = warm_solve_peak(xa, cfg)
+    assert len(out.trace) == 3
+    # while T and X - P H were fresh d x vn arrays and the KKT check formed
+    # Y - E / safe whole, this warm run peaked at 2,459,950 bytes, 3.41
+    # d x vn buffers plus 6 vn x vn
+    assert peak <= 8.0 * (2 * d * vn + 6 * vn * vn)
 
 
 def test_run_divergence_is_numerical_error_naming_iteration():
