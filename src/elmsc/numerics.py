@@ -1,8 +1,10 @@
 """Dense-matrix kernels and proximal operators used throughout the toolkit.
 
-All functions take and return float64 numpy arrays. Factorizations go to
-LAPACK through numpy, and spd_solve's Cholesky through scipy.linalg, imported
-on first use; the Sylvester solver and the proximal operators are here.
+Precision follows the input: a float32 array is worked on and returned in
+float32, anything else in float64, and the NaN/Inf checks hold for both.
+Factorizations go to LAPACK through numpy, and spd_solve's Cholesky through
+scipy.linalg, imported on first use; the Sylvester solver and the proximal
+operators are here.
 """
 
 import logging
@@ -37,8 +39,14 @@ class NonFiniteError(NumericalError, ValueError):
     """
 
 
+def _float_array(m):
+    """m as an array in its own precision: float32 stays, all else float64."""
+    m = np.asarray(m)
+    return m if m.dtype == np.float32 else m.astype(np.float64, copy=False)
+
+
 def _as_matrix(m, name="matrix"):
-    m = np.asarray(m, dtype=np.float64)
+    m = _float_array(m)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"{name} must be a nonempty 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -144,7 +152,7 @@ def soft_threshold(m, eta, out=None):
     """
     if eta < 0:
         raise ValueError(f"threshold must be nonnegative, got {eta}")
-    m = np.asarray(m, dtype=np.float64)
+    m = _float_array(m)
     out = np.clip(m, -eta, eta, out=out)
     return np.subtract(m, out, out=out)
 
@@ -205,10 +213,18 @@ def pca_reduce(x, m):
     return u[:, :m].T @ centered
 
 
-# gram_cg_solve's stopping rule: relative residual per row, and the
-# iteration cap past which the caller factors instead
+# gram_cg_solve's stopping rule: relative residual per row (see cg_rtol),
+# and the iteration cap past which the caller factors instead
 CG_RTOL = 1e-12
 CG_MAX_ITER = 50
+
+
+def cg_rtol(dtype):
+    """gram_cg_solve's relative stop for products with W in `dtype`:
+    CG_RTOL, or 100 eps where that is larger, 1.19e-5 for float32. Float32
+    products reach about 1e-7, so at CG_RTOL every float32 solve would run
+    to the cap and fall back to the factorization."""
+    return max(CG_RTOL, 100 * float(np.finfo(dtype).eps))
 
 
 def _row_dots(a, b):
@@ -220,21 +236,28 @@ def gram_cg_solve(w, b, x0):
 
     The k rows run together: each iteration applies X -> X + (X W) W.T to
     all of them at once, two k x vn by vn x vn products, while the step
-    lengths alpha and beta are per-row scalars. The run stops once every
-    row's residual is at most CG_RTOL times its row of b; CG_MAX_ITER caps
-    the iterations. x0 is the starting point. Returns (X, iterations), or
+    lengths alpha and beta are per-row scalars. The products run in W's
+    precision (a float64 row block is cast to a float32 W's dtype first,
+    so no float64 copy of W is made); the iterate, the residuals and the
+    step lengths stay in b's. The run stops once every row's residual is
+    at most cg_rtol(W's dtype) times its row of b; CG_MAX_ITER caps the
+    iterations. x0 is the starting point. Returns (X, iterations), or
     (None, iterations) when some row is still above its tolerance at the
     cap, or the iterate overflows, so that the caller can fall back to a
     factorization. W itself is not checked for NaN/Inf: it can only make
     the iterate non-finite.
     """
     b = _as_matrix(b, "b")
-    x = _as_matrix(x0, "x0").copy()
+    x = np.array(_as_matrix(x0, "x0"), dtype=b.dtype)
+
+    def ww(m):  # m W W.T
+        return (m.astype(w.dtype, copy=False) @ w) @ w.T
+
     r = b - x
-    r -= (x @ w) @ w.T
+    r -= ww(x)
     p = r.copy()
     rr = _row_dots(r, r)
-    tol = CG_RTOL**2 * _row_dots(b, b)
+    tol = cg_rtol(w.dtype)**2 * _row_dots(b, b)
     for it in range(CG_MAX_ITER + 1):
         if not np.isfinite(rr).all():
             return None, it
@@ -242,8 +265,7 @@ def gram_cg_solve(w, b, x0):
             return x, it
         if it == CG_MAX_ITER:
             return None, it
-        q = (p @ w) @ w.T
-        q += p
+        q = p + ww(p)
         # rows already within tolerance keep stepping, at no extra cost in
         # the shared products, unless exactly solved: then p.q is 0 and
         # rr / p.q undefined, and alpha = beta = 0 keeps x and r
@@ -260,10 +282,15 @@ def gram_cg_solve(w, b, x0):
 
 
 def spd_solve(a, b):
-    """Solve a @ X = b for SPD a by SciPy's Cholesky, imported on first use."""
+    """Solve a @ X = b for SPD a by SciPy's Cholesky, imported on first use.
+
+    The factorization runs in a's precision and the triangular solves in
+    b's: a float32 a is factored by LAPACK's spotrf, and with a float64 b
+    SciPy solves from a float64 copy of the factor.
+    """
     from scipy.linalg import cho_factor, cho_solve
     a = _as_matrix(a, "a")
-    b = np.asarray(b, dtype=np.float64)
+    b = _float_array(b)
     try:
         factor = cho_factor(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:

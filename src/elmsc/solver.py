@@ -9,6 +9,12 @@ the vn x vn Gram. Z comes from a k x k LU solve through the push-through
 identity (Z's system I + H.T H is the identity plus a rank-k term), E from
 the columnwise l2,1 proximal map, and J from block-diagonal-preserving
 shrinkage.
+
+The vn x vn iterates Z, J, Y3 and the one spare buffer are float32 (see
+`init_state`); every d x vn and k x vn array, and every product whose
+rounding reaches a multiplier or the stop test, is float64. Each step
+follows the dtypes of the arrays it is given, so a state built in float64
+runs wholly in float64.
 """
 
 import csv
@@ -181,11 +187,27 @@ def check_latent_dim(k, d):
         )
 
 
+# dtype of the vn x vn iterates Z, J and Y3; `run`'s spare follows Z
+VN2_DTYPE = np.float32
+
+
 def init_state(xa, cfg):
     """Fresh state: H i.i.d. standard Gaussian from cfg.seed, all else zero.
 
     E1 and E2 are views of one stacked (d+k) x vn buffer, which `run` hands
     to each E step to refill in place.
+
+    Z, J and Y3 are VN2_DTYPE, float32: the vn x vn passes (the H step's
+    products with W = I - Z or its Gram and Cholesky, the Z step's product
+    H.T S^-1 G, the J shrinkage) are bound by memory bandwidth or
+    gemm speed, which float32 halves, and their rounding of 6e-8 relative
+    stays far below the 1e-3 stop. X, P, H, E1, E2, Y1 and Y2 are float64.
+    Measured on float32 variants: with X, E and Y1 in float32, Y1/mu (about
+    2e-4) is lost against X (about 800) and the final l2,1 KKT gap reads
+    2e-2 to 6e-2 on a noisy family; with H in float32, S = I + H H.T (|H|
+    about 600) is solved in float32, and a k = 100 solve broke down in its
+    dense H step's Cholesky; and H - H Z formed in float32 misreads the
+    self-representation gap by 1.4e-3.
     """
     d, vn = xa.xa.shape
     k = cfg.latent_dim
@@ -195,13 +217,13 @@ def init_state(xa, cfg):
     return AdmmState(
         p=np.zeros((d, k)),
         h=h,
-        z=np.zeros((vn, vn)),
+        z=np.zeros((vn, vn), VN2_DTYPE),
         e1=e[:d],
         e2=e[d:],
-        j=np.zeros((vn, vn)),
+        j=np.zeros((vn, vn), VN2_DTYPE),
         y1=np.zeros((d, vn)),
         y2=np.zeros((k, vn)),
-        y3=np.zeros((vn, vn)),
+        y3=np.zeros((vn, vn), VN2_DTYPE),
         mu=cfg.mu0,
     )
 
@@ -210,11 +232,12 @@ def init_state(xa, cfg):
 PANEL_ROWS = 32
 
 
-def _row_panels(rows, cols):
-    """(rows slice, scratch of its shape) per panel; one buffer serves all."""
-    buf = np.empty((min(rows, PANEL_ROWS), cols))
-    for i in range(0, rows, PANEL_ROWS):
-        yield slice(i, i + PANEL_ROWS), buf[:min(rows - i, PANEL_ROWS)]
+def _row_panels(rows, cols, step=PANEL_ROWS):
+    """(rows slice, float64 scratch of its shape) per panel of `step` rows;
+    one buffer serves all."""
+    buf = np.empty((min(rows, step), cols))
+    for i in range(0, rows, step):
+        yield slice(i, i + step), buf[:min(rows - i, step)]
 
 
 def _latent_target(state, xa, out=None):
@@ -229,6 +252,19 @@ def _latent_target(state, xa, out=None):
         panel += xa[s]
         np.subtract(panel, state.e1[s], out=t[s])
     return t
+
+
+def _latent_gap(h, z):
+    """H - H Z in float64, summed over row panels of Z, each copied into a
+    float64 scratch panel, so that a float32 Z is never copied whole.
+    Computed in float32, it misread the self-representation gap by 1.4e-3
+    on a noisy vn = 600 family. (64-row panels took 10-20% less time than
+    32-row ones.)"""
+    dh = h.copy()
+    for s, panel in _row_panels(*z.shape, step=64):
+        np.copyto(panel, z[s])
+        dh -= h[:, s] @ panel
+    return dh
 
 
 def update_p(state, xa, target=None):
@@ -246,12 +282,15 @@ def update_p(state, xa, target=None):
 # Warm-started CG iterations the H step budgets for. Each costs one
 # 4k vn^2-flop product, the Gram plus factorization 1.33 vn^3 flops, so CG
 # is taken while (CG_ITERS + 2) * 4k < 1.33 vn: k < vn / 36, e.g. k <= 16 at
-# vn = 600. Measured with one OpenBLAS thread on a 2-vCPU x86-64 host
-# (Haswell kernels): the syrk plus Cholesky at vn = 600 took 8.8 ms, one CG
-# product 0.70 ms at k = 8 (half the factorization's flop rate) and 1.3 ms
-# at k = 30. On the dense-k8 benchmark data (vn = 600, k = 8, rho = 3, 20
-# seeds) CG took 1 and 2 iterations in the first two H steps, then 4-8,
-# median 7.
+# vn = 600. Measured in float32 with one OpenBLAS thread on a 2-vCPU x86-64
+# host (Haswell kernels) at vn = 600: the syrk plus spotrf took 4.0-5.4 ms,
+# one CG product 0.52 ms at k = 8 (about 40% of the factorization's flop
+# rate) and 0.91-1.0 ms at k = 30. With the float32 stop, CG took 1 and 2
+# iterations in the first two H steps, then 0-5, median 3, on the dense-k8
+# benchmark data (20 seeds), and 0-7, median 2-5, on acceptance criterion
+# 5's thin family (seeds 0-2, each ablation). So the budget stands for about
+# five products at the lower rate; on both data whole solves ran 20-40%
+# faster by CG than with the dense step.
 CG_ITERS = 10
 
 
@@ -278,6 +317,13 @@ def update_h(state, xa, pta=None, out=None):
     Z's own: the step reads Z only entry by entry, to form W, and never
     again after. Neither buffer may be any other state array, nor may the
     two be the same.
+
+    W and B take Z's dtype, and C, H and the CG iterate H's, float64. A
+    k x vn operand is cast to Z's dtype before its product with W, so that
+    W is never copied into float64. The dense step factors B in its own
+    precision and solves with the factor in C's: at vn = 600, k = 100,
+    lam = 1000, float32 solves moved the final objective by 2e-5 to 6e-5
+    relative, float64 ones by 3e-6.
     """
     p, z = state.p, state.z
     k, vn = p.shape[1], z.shape[0]
@@ -286,20 +332,23 @@ def update_h(state, xa, pta=None, out=None):
     w = np.negative(z, out=wbuf)
     w.flat[diag] += 1.0
     c = p.T @ _latent_target(state, xa) if pta is None else pta
-    c = c - (state.y2 / state.mu - state.e2) @ w.T
+    d = (state.y2 / state.mu - state.e2).astype(w.dtype, copy=False)
+    c = c - d @ w.T
     ptp = p.T @ p
     orthonormal = np.abs(ptp - np.eye(k)).max() <= 1e-8
+    h = None
     if orthonormal and (CG_ITERS + 2) * 4 * k < 1.33 * vn:
         h, _ = gram_cg_solve(w, c, state.h)
-        if h is not None:
-            return h
-    # matmul on w and its own transpose view runs as a syrk
-    b = np.matmul(w, w.T, out=bbuf)
-    del w
-    if orthonormal:
-        b.flat[diag] += 1.0
-        return spd_solve(b, c.T).T
-    return solve_sylvester(ptp, b, c)
+    if h is None:
+        # matmul on w and its own transpose view runs as a syrk
+        b = np.matmul(w, w.T, out=bbuf)
+        del w
+        if orthonormal:
+            b.flat[diag] += 1.0
+            h = spd_solve(b, c.T).T
+        else:
+            h = solve_sylvester(ptp, b, c)
+    return h.astype(state.h.dtype, copy=False)
 
 
 def update_z(state, out=None, tmp=None):
@@ -318,16 +367,23 @@ def update_z(state, out=None, tmp=None):
     buffer for the term H.T S^-1 (...) added to it. `out` may be Z's own
     buffer, whatever it holds, since the step does not read Z; neither may
     be J or Y3, which it reads, nor may the two be the same.
+
+    Z takes Y3's dtype. H - H A is summed in float64 (`_latent_gap`): at
+    vn = 600, k = 100, |H| about 600, a float32 sum left a Z step a mean
+    2e-6 off per entry, the float64 one 6e-9. S and its solve are float64,
+    and H and S^-1 G are cast to Z's dtype for the product H.T S^-1 G, so
+    that A is never copied into another precision.
     """
     h, mu = state.h, state.mu
     a = np.divide(state.y3, mu, out=out)
     a += state.j
-    g = state.y2 / mu
+    hz = h.astype(a.dtype, copy=False)
+    g = _latent_gap(h, a)
+    g += state.y2 / mu
     g -= state.e2
-    g += h
-    g -= h @ a
     s = _as_matrix(np.eye(h.shape[0]) + h @ h.T, "S")
-    a += np.matmul(h.T, np.linalg.solve(s, g), out=tmp)
+    sg = np.linalg.solve(s, g).astype(a.dtype, copy=False)
+    a += np.matmul(hz.T, sg, out=tmp)
     return a
 
 
@@ -339,14 +395,15 @@ def update_e(state, xa, out=None, ascent=False):
     in `run`, T), and shrunk in place; E1 and E2 are returned as its views.
     Each row panel of G1 yields its rows of R1 = (G1 - Y1/mu) - E1 as it is
     shrunk; with `ascent` Y1 takes its dual step Y1 += mu R1 there, and the
-    step returns (E1, E2, max |R1|, R2 = H - H Z - E2).
+    step returns (E1, E2, max |R1|, R2 = H - H Z - E2). H - H Z is formed
+    in float64 from a float32 Z too (`_latent_gap`).
     """
     mu, (d, vn) = state.mu, xa.shape
     g = np.empty((d + state.h.shape[0], vn)) if out is None else out
     g1 = np.subtract(xa, np.matmul(state.p, state.h, out=g[:d]), out=g[:d])
     for s, panel in _row_panels(d, vn):
         g1[s] += np.divide(state.y1[s], mu, out=panel)
-    dh = state.h - state.h @ state.z
+    dh = _latent_gap(state.h, state.z)
     e2 = np.add(state.y2 / mu, dh, out=g[d:])
     norms = col_norms(g)
     scale = l21_scale(norms, 1.0 / mu)
@@ -383,7 +440,7 @@ def update_j(state, lam, v, n, out=None, tmp=None):
 def _residual_mats(state, xa):
     """(X - P H - E1, H - H Z - E2, J - Z), each a new array."""
     return (xa - state.p @ state.h - state.e1,
-            state.h - state.h @ state.z - state.e2, state.j - state.z)
+            _latent_gap(state.h, state.z) - state.e2, state.j - state.z)
 
 
 def residuals(state, xa, mats=None):
@@ -421,10 +478,11 @@ def objective(state, lam, v, n):
     """Value of the unconstrained objective at the current primal variables:
     l2,1 norm of the stacked error [E1; E2] plus lam times the l1 norm of
     the off-diagonal blocks of Z. Both are summed block by block, so E is
-    never stacked and no vn x vn temporary is made."""
+    never stacked and no vn x vn temporary is made; a float32 Z's blocks
+    are summed in float64."""
     l21 = float(col_norms(state.e1, state.e2).sum())
     blocks = state.z.reshape(v, n, v, n)
-    off = sum(float(np.abs(blocks[i, :, l, :]).sum())
+    off = sum(float(np.abs(blocks[i, :, l, :]).sum(dtype=np.float64))
               for i in range(v) for l in range(v) if i != l)
     return l21 + lam * off
 

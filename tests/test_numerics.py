@@ -263,6 +263,16 @@ def test_soft_threshold_matches_sign_form_bitwise():
     assert not out[~nz].any()
 
 
+def test_soft_threshold_keeps_float32():
+    m = np.random.default_rng(9).standard_normal((6, 7)).astype(np.float32)
+    out = soft_threshold(m, 0.5)
+    assert out.dtype == np.float32
+    ref = np.sign(m) * np.maximum(np.abs(m) - np.float32(0.5), 0)
+    assert np.array_equal(out, ref)
+    # anything but float32 is still worked on in float64
+    assert soft_threshold(np.arange(4).reshape(2, 2), 1.0).dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # col_l21_prox
 # ---------------------------------------------------------------------------
@@ -344,6 +354,19 @@ def test_col_norms_of_blocks_match_stacked_norms():
     assert_allclose(col_norms(a), np.linalg.norm(a, axis=0), rtol=1e-14)
 
 
+def test_kernels_keep_float32_and_still_reject_nan():
+    rng = np.random.default_rng(10)
+    g = rng.standard_normal((5, 4)).astype(np.float32)
+    assert col_l21_prox(g, 0.5).dtype == np.float32
+    assert all(f.dtype == np.float32 for f in svd(g))
+    assert pca_reduce(g, 2).dtype == np.float32
+    g[2, 1] = np.nan
+    for kernel in (lambda m: col_l21_prox(m, 0.5), svd,
+                   lambda m: spd_solve(m[:4], np.ones((4, 1), np.float32))):
+        with pytest.raises(NonFiniteError):
+            kernel(g)
+
+
 def test_nonfinite_input_is_both_value_and_numerical_error():
     g = np.ones((3, 2))
     g[1, 0] = np.inf
@@ -411,6 +434,21 @@ def test_spd_solve_random_residual():
     assert np.linalg.norm(a @ x - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
 
 
+def test_spd_solve_factors_in_a_and_solves_in_b_precision():
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((8, 8))
+    a = (a @ a.T + 8 * np.eye(8)).astype(np.float32)
+    b = rng.standard_normal((8, 3))
+    x32 = spd_solve(a, b.astype(np.float32))
+    assert x32.dtype == np.float32
+    x = spd_solve(a, b)
+    assert x.dtype == np.float64
+    a64 = a.astype(np.float64)
+    # a float32 factor: its backward error is float32's, either way
+    for sol in (x32, x):
+        assert np.linalg.norm(a64 @ sol - b) <= 1e-5 * np.linalg.norm(b)
+
+
 def test_spd_solve_rejects_indefinite():
     from elmsc.numerics import NumericalError
 
@@ -446,6 +484,24 @@ def test_gram_cg_solve_matches_cholesky_on_h_step_systems():
         # true residual may drift from it by rounding
         assert np.all(np.linalg.norm(x @ gram - b, axis=1) <= 1e-11 * b_norms)
         assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_gram_cg_solve_with_float32_w_stops_at_its_reach():
+    # the products with W run in float32, which bounds the residual near
+    # 1e-7 relative; at the float64 stop of 1e-12 every solve would run to
+    # the cap and fall back
+    assert numerics.cg_rtol(np.float64) == numerics.CG_RTOL
+    assert numerics.cg_rtol(np.float32) == pytest.approx(1.19e-5, rel=1e-2)
+    rng = np.random.default_rng(35)
+    vn, k = 60, 3
+    w = np.eye(vn) - rng.standard_normal((vn, vn)) / (2 * np.sqrt(vn))
+    b = rng.standard_normal((k, vn))
+    x, its = gram_cg_solve(w.astype(np.float32), b, np.zeros((k, vn)))
+    assert x is not None and x.dtype == np.float64
+    assert its < numerics.CG_MAX_ITER
+    gram = np.eye(vn) + w @ w.T
+    assert np.all(np.linalg.norm(x @ gram - b, axis=1)
+                  <= 1e-4 * np.linalg.norm(b, axis=1))
 
 
 def test_gram_cg_solve_identity_w_converges_in_one_iteration():
