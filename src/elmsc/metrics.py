@@ -125,23 +125,23 @@ def nmi(pair):
     return min(1.0, max(0.0, mi / (0.5 * (h_t + h_p))))
 
 
-def _pair_count(counts):
-    counts = counts.astype(np.float64)
-    return float((counts * (counts - 1) / 2).sum())
+def _pair_counts(pair):
+    """Sample pairs co-clustered in both labelings, in the truth, and in the
+    prediction, from the contingency table."""
+    table = pair.contingency().astype(np.float64)
+    return tuple(float((c * (c - 1) / 2).sum())
+                 for c in (table, table.sum(axis=1), table.sum(axis=0)))
 
 
 def ari(pair):
     """Adjusted Rand index from pair-count statistics of the contingency table."""
-    table = pair.contingency()
+    sum_ij, sum_t, sum_p = _pair_counts(pair)
     n = len(pair.truth)
-    sum_ij = _pair_count(table.ravel())
-    sum_t = _pair_count(table.sum(axis=1))
-    sum_p = _pair_count(table.sum(axis=0))
     total = n * (n - 1) / 2
-    expected = sum_t * sum_p / total
+    expected = sum_t * sum_p / total if total else 0.0
     maximum = 0.5 * (sum_t + sum_p)
     if maximum == expected:
-        return 1.0  # both partitions degenerate in the same way
+        return 1.0  # both partitions degenerate in the same way, or no pairs
     return float((sum_ij - expected) / (maximum - expected))
 
 
@@ -152,10 +152,7 @@ def pairwise_f1(pair):
     pairs, recall the converse; scores 0 when one side has co-clustered
     pairs and the other none, 1 when both have none.
     """
-    table = pair.contingency()
-    tp = _pair_count(table.ravel())
-    pred_pairs = _pair_count(table.sum(axis=0))
-    true_pairs = _pair_count(table.sum(axis=1))
+    tp, true_pairs, pred_pairs = _pair_counts(pair)
     if pred_pairs == 0.0 and true_pairs == 0.0:
         return 1.0
     if pred_pairs == 0.0 or true_pairs == 0.0:

@@ -2,13 +2,13 @@
 
 The iteration cycles five subproblems (projection P, latent H, representation
 Z, error E, auxiliary J), then performs dual ascent on three multipliers with
-an increasing penalty. P comes from an orthogonal Procrustes step. H solves
-a Sylvester system, SPD since P is orthonormal: by conjugate gradients on
-its k rows when k is small against vn, else by one Cholesky factorization of
-the vn x vn Gram. Z comes from a k x k LU solve through the push-through
-identity (Z's system I + H.T H is the identity plus a rank-k term), E from
-the columnwise l2,1 proximal map, and J from block-diagonal-preserving
-shrinkage.
+a penalty that grows from MU0 by a factor RHO per iteration up to MU_MAX.
+P comes from an orthogonal Procrustes step. H solves a Sylvester system, SPD
+since P is orthonormal: by conjugate gradients on its k rows when k is small
+against vn, else by one Cholesky factorization of the vn x vn Gram. Z comes
+from a k x k LU solve through the push-through identity (Z's system
+I + H.T H is the identity plus a rank-k term), E from the columnwise l2,1
+proximal map, and J from block-diagonal-preserving shrinkage.
 
 The vn x vn iterates Z, J, Y3 and the one spare buffer are float32 (see
 `init_state`); every d x vn and k x vn array, and every product whose
@@ -47,20 +47,13 @@ class ElmscConfig:
     """Solver configuration.
 
     `lam` weighs the l1 penalty on the off-diagonal blocks of Z; `latent_dim`
-    is the row count of H. The penalty starts at mu0 and grows by rho per
-    iteration up to mu_max. rho = 3 needs about 30% fewer iterations than
-    rho = 2 at the same clustering accuracy, though where lam is large it
-    stops at a higher objective value; rho = 4 saves a few more iterations
-    but lowers the accuracy on a noisy low-dimensional family. Ablations: "v1"
-    drops the sparsity term (lam treated as 0), "v2" zeroes the off-diagonal
-    blocks of the augmented data matrix before solving.
+    is the row count of H. Ablations: "v1" drops the sparsity term (lam
+    treated as 0), "v2" zeroes the off-diagonal blocks of the augmented data
+    matrix before solving.
     """
 
     lam: float
     latent_dim: int
-    mu0: float = 1e-4
-    mu_max: float = 1e6
-    rho: float = 3.0
     tol: float = 1e-3
     max_iter: int = 100
     seed: int = 0
@@ -71,10 +64,6 @@ class ElmscConfig:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be positive, got {self.latent_dim}")
-        if not 0 < self.mu0 < self.mu_max:
-            raise ValueError(f"need 0 < mu0 < mu_max, got {self.mu0}, {self.mu_max}")
-        if self.rho <= 1:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -190,6 +179,12 @@ def check_latent_dim(k, d):
 # dtype of the vn x vn iterates Z, J and Y3; `run`'s spare follows Z
 VN2_DTYPE = np.float32
 
+# the penalty schedule. RHO = 3 needs about 30% fewer iterations than 2 at
+# the same clustering accuracy, though where lam is large it stops at a
+# higher objective value; 4 saves a few more iterations but lowers the
+# accuracy on a noisy low-dimensional family
+MU0, MU_MAX, RHO = 1e-4, 1e6, 3.0
+
 
 def init_state(xa, cfg):
     """Fresh state: H i.i.d. standard Gaussian from cfg.seed, all else zero.
@@ -224,7 +219,7 @@ def init_state(xa, cfg):
         y1=np.zeros((d, vn)),
         y2=np.zeros((k, vn)),
         y3=np.zeros((vn, vn), VN2_DTYPE),
-        mu=cfg.mu0,
+        mu=MU0,
     )
 
 
@@ -454,9 +449,9 @@ def residuals(state, xa, mats=None):
     return tuple(float(max(np.max(r), -np.min(r))) for r in mats)
 
 
-def update_multipliers(state, xa, cfg, mats=None):
+def update_multipliers(state, xa, mats=None):
     """Dual ascent Y <- Y + mu R on Y1-Y3, then penalty growth
-    mu <- min(rho mu, mu_max).
+    mu <- min(RHO mu, MU_MAX).
 
     `mats` takes the residual matrices R when the caller already has them;
     they are consumed as scratch, and an R of None leaves its multiplier
@@ -470,7 +465,7 @@ def update_multipliers(state, xa, cfg, mats=None):
             continue
         r *= state.mu
         y += r
-    state.mu = min(cfg.rho * state.mu, cfg.mu_max)
+    state.mu = min(RHO * state.mu, MU_MAX)
     return state
 
 
@@ -551,7 +546,7 @@ def run(xa, cfg):
             r3 = np.subtract(state.j, state.z, out=spare)
             primal = residuals(state, mat, (r1, r2, r3))
             trace.append(*primal, obj, state.mu)
-            update_multipliers(state, mat, cfg, (None, r2, r3))
+            update_multipliers(state, mat, (None, r2, r3))
             if max(primal) < cfg.tol:
                 converged = True
                 break

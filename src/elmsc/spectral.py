@@ -86,8 +86,11 @@ def _lloyd(points, centers):
             if mask.any():
                 centers[k] = points[mask].mean(axis=0)
             else:
-                # revive an empty cluster at the point farthest from its centroid
-                far = int(d2[np.arange(n), new_labels].argmax())
+                # revive an empty cluster at the point farthest from its
+                # centroid whose own cluster keeps another member
+                kept = np.bincount(new_labels, minlength=c)[new_labels] > 1
+                own = d2[np.arange(n), new_labels]
+                far = int(np.where(kept, own, -1.0).argmax())
                 centers[k] = points[far]
                 new_labels[far] = k
         if np.array_equal(new_labels, labels):

@@ -103,9 +103,8 @@ def test_cluster_report_embeds_resolved_config(tmp_path):
     report = cli.cmd_cluster(tiny_config(tmp_path))
     conf = report["config"]
     for key in ("lambda", "latent_dim", "trials", "seed", "ablation",
-                "pca_components", "mu0", "mu_max", "rho", "tol", "max_iter"):
+                "pca_components", "tol", "max_iter"):
         assert key in conf
-    assert conf["mu0"] == 1e-4
 
 
 def test_cluster_random_params_draw_recorded(tmp_path):
@@ -130,9 +129,8 @@ def test_trial_record_and_config_keys(tmp_path):
         "trace_file", "wall_clock_sec", "trial", "seed"}
     assert set(report["config"]) == {
         "ablation", "clusters", "lambda", "latent_dim", "manifest",
-        "max_iter", "mu0", "mu_max", "pca_components", "random_params",
-        "rho", "seed", "seed_derivation", "synthetic", "tol", "trials",
-        "workers"}
+        "max_iter", "pca_components", "random_params", "seed",
+        "seed_derivation", "synthetic", "tol", "trials", "workers"}
 
 
 def test_random_params_drawn_once_per_run(monkeypatch, tmp_path):
@@ -369,6 +367,52 @@ def only_error_record(capsys):
     return json.loads(lines[0])
 
 
+def _broken_manifest(tmp_path, case):
+    """A two-view, four-sample manifest with one defect; returns its path."""
+    views = {"a.txt": "1 2 3 4\n5 6 7 8\n", "b.txt": "1 0 1 0\n0 1 0 1\n"}
+    labels = "0\n0\n1\n1\n"
+    spec = {"n": 4, "labels": "labels.txt",
+            "views": [{"path": "a.txt", "rows": 2, "cols": 4},
+                      {"path": "b.txt", "rows": 2, "cols": 4}]}
+    if case in ("nan", "inf"):
+        views["b.txt"] = f"1 0 {case} 0\n0 1 0 1\n"
+    elif case == "negative-label":
+        labels = "0\n-1\n1\n1\n"
+    elif case == "one-cluster":
+        labels = "0\n0\n0\n0\n"
+    elif case == "no-n":
+        del spec["n"]
+    for name, text in views.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "labels.txt").write_text(labels)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{" if case == "not-json" else json.dumps(spec))
+    return manifest
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("nan", cli.EXIT_DATA, "NaN/Inf"),
+    ("inf", cli.EXIT_DATA, "NaN/Inf"),
+    ("negative-label", cli.EXIT_DATA, "negative labels"),
+    ("not-json", cli.EXIT_DATA, "not valid JSON"),
+    ("no-n", cli.EXIT_DATA, "must declare 'n'"),
+    ("one-cluster", cli.EXIT_DATA, ">= 2 clusters"),
+    ("synthetic-not-an-object", cli.EXIT_CONFIG, "must be a JSON object"),
+])
+def test_bad_input_exits_in_its_class_before_any_output(tmp_path, capsys,
+                                                        case, code, message):
+    out = tmp_path / "out"
+    if case == "synthetic-not-an-object":
+        source = ["--synthetic", "[1]"]
+    else:
+        source = ["--manifest", str(_broken_manifest(tmp_path, case))]
+    argv = ["cluster", *source, "--clusters", "2", "--latent-dim", "2",
+            "--out", str(out)]
+    assert cli.main(argv) == code
+    assert message in only_error_record(capsys)["message"]
+    assert not out.exists()
+
+
 def test_synth_missing_field_is_config_error(tmp_path, capsys):
     code = cli.main(["synth", "--spec", json.dumps({"clusters": 2}),
                      "--out", str(tmp_path / "data")])
@@ -418,13 +462,15 @@ def test_spec_field_of_wrong_type_is_config_error(tmp_path, capsys, command):
 # ---------------------------------------------------------------------------
 
 def test_eval_identical_files(tmp_path, capsys):
-    path = tmp_path / "labels.txt"
-    np.savetxt(path, [0, 0, 1, 1, 2], fmt="%d")
-    code = cli.main(["eval", str(path), str(path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.splitlines() == ["ACC 100.00", "NMI 100.00", "ARI 100.00",
-                                "F1 100.00"]
+    # one sample has no pairs, which ari must not divide by
+    for labels in ([0, 0, 1, 1, 2], [3]):
+        path = tmp_path / "labels.txt"
+        np.savetxt(path, labels, fmt="%d")
+        code = cli.main(["eval", str(path), str(path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == ["ACC 100.00", "NMI 100.00", "ARI 100.00",
+                                    "F1 100.00"]
 
 
 def test_eval_length_mismatch(tmp_path, capsys):

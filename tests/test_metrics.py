@@ -165,6 +165,11 @@ def test_acc_one_sample_and_one_cluster():
     assert acc(pair_of([0, 0, 0], [1, 1, 1])) == 1.0
 
 
+def test_all_metrics_of_one_sample_are_one():
+    # one sample has no pairs: ari takes its degenerate branch, no 0/0
+    assert all_metrics(LabelPair([0], [0])) == (1.0, 1.0, 1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # assignment solver behind acc
 # ---------------------------------------------------------------------------

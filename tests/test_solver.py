@@ -45,20 +45,22 @@ def make_xa(rng, d, vn):
 
 def test_config_defaults_match_reference_schedule():
     cfg = ElmscConfig(lam=1.0, latent_dim=5)
-    assert cfg.mu0 == 1e-4
-    assert cfg.mu_max == 1e6
-    assert cfg.rho == 3.0
+    assert (solver.MU0, solver.MU_MAX, solver.RHO) == (1e-4, 1e6, 3.0)
     assert cfg.tol == 1e-3
     assert cfg.max_iter == 100
+    assert [f.name for f in dataclasses.fields(ElmscConfig)] == [
+        "lam", "latent_dim", "tol", "max_iter", "seed", "ablation"]
+    with pytest.raises(TypeError):
+        ElmscConfig(lam=1.0, latent_dim=2, rho=2.0)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ElmscConfig(lam=-1.0, latent_dim=5)
     with pytest.raises(ValueError):
-        ElmscConfig(lam=1.0, latent_dim=5, mu0=1e7)
+        ElmscConfig(lam=1.0, latent_dim=5, tol=0)
     with pytest.raises(ValueError):
-        ElmscConfig(lam=1.0, latent_dim=5, rho=0.9)
+        ElmscConfig(lam=1.0, latent_dim=5, max_iter=0)
     with pytest.raises(ValueError):
         ElmscConfig(lam=1.0, latent_dim=5, ablation="v3")
 
@@ -479,32 +481,29 @@ def zero_residual_state(rng, d=5, k=2, v=1, n=4):
 def test_multipliers_zero_residuals_scale_mu_only():
     rng = np.random.default_rng(18)
     st, xa = zero_residual_state(rng)
-    cfg = ElmscConfig(lam=1.0, latent_dim=2)
     y1, y2, y3, mu = st.y1.copy(), st.y2.copy(), st.y3.copy(), st.mu
-    update_multipliers(st, xa, cfg)
+    update_multipliers(st, xa)
     assert_allclose(st.y1, y1, atol=1e-12)
     assert_allclose(st.y2, y2, atol=1e-12)
     assert_allclose(st.y3, y3, atol=1e-12)
-    assert st.mu == pytest.approx(mu * cfg.rho)
+    assert st.mu == pytest.approx(mu * solver.RHO)
 
 
 def test_multipliers_mu_clamped_at_max():
     rng = np.random.default_rng(19)
     st, xa = zero_residual_state(rng)
-    cfg = ElmscConfig(lam=1.0, latent_dim=2)
-    st.mu = cfg.mu_max
-    update_multipliers(st, xa, cfg)
-    assert st.mu == cfg.mu_max
+    st.mu = solver.MU_MAX
+    update_multipliers(st, xa)
+    assert st.mu == solver.MU_MAX
 
 
 def test_multipliers_ascent_step_exact():
     rng = np.random.default_rng(20)
     st = random_admm_state(rng, d=6, k=2, v=2, n=3, mu=1.9)
     xa = make_xa(rng, 6, 6)
-    cfg = ElmscConfig(lam=1.0, latent_dim=2)
     y1_before = st.y1.copy()
     expected_step = st.mu * (xa - st.p @ st.h - st.e1)
-    update_multipliers(st, xa, cfg)
+    update_multipliers(st, xa)
     assert_allclose(st.y1 - y1_before, expected_step, atol=1e-12)
 
 
@@ -578,7 +577,7 @@ def test_run_mu_monotone_and_bounded():
     out = run(xa, cfg)
     mus = out.trace.mu
     assert all(b >= a for a, b in zip(mus, mus[1:]))
-    assert mus[-1] <= cfg.mu_max
+    assert mus[-1] <= solver.MU_MAX
 
 
 def unfused_run(xa, cfg):
@@ -597,7 +596,7 @@ def unfused_run(xa, cfg):
         st.j = update_j(st, lam, v, n)
         objs.append(objective(st, lam, v, n))
         res = residuals(st, mat)
-        update_multipliers(st, mat, cfg)
+        update_multipliers(st, mat)
         if max(res) < cfg.tol:
             break
     return st, objs
@@ -988,7 +987,7 @@ def test_kkt_j_gap_zero_for_shrinkage_consistent_state():
     cfg = ElmscConfig(lam=0.3, latent_dim=2)
     st.j = update_j(st, cfg.lam, 2, 3)
     xa = make_xa(rng, 6, 6)
-    update_multipliers(st, xa, cfg)
+    update_multipliers(st, xa)
     report = kkt_residuals(st, xa, cfg.lam, 2, 3)
     assert report.j_gap <= 1e-10
 

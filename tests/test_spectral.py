@@ -138,6 +138,22 @@ def test_kmeans_deterministic():
     assert ia == ib
 
 
+@pytest.mark.parametrize("points, c", [
+    (np.zeros((6, 2)), 2),
+    (np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 3),
+    (np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), 3),
+], ids=["all-coincide", "distinct-last", "distinct-first"])
+def test_kmeans_coincident_points_fill_every_cluster(points, c):
+    # seeding runs out of distance weight and Lloyd revives empty clusters;
+    # a revival must not empty a singleton cluster
+    labels, inertia = kmeans(points, c, seed=0)
+    assert len(set(labels.tolist())) == c
+    assert inertia == 0.0
+    again, inertia_again = kmeans(points, c, seed=0)
+    assert np.array_equal(labels, again)
+    assert inertia_again == inertia
+
+
 def test_kmeans_rejects_too_many_clusters():
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 4)
