@@ -274,8 +274,7 @@ def cmd_eval(predicted_path, truth_path):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
+        _emit_error(argparse.ArgumentError(None, message))
         raise SystemExit(EXIT_CONFIG)
 
 

@@ -251,18 +251,27 @@ def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
     return MultiViewDataset(views=out, labels=labels)
 
 
+def _loadtxt(path, **kw):
+    """np.loadtxt, 2-D, with no warning on an empty file: callers refuse it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, ndmin=2, **kw)
+
+
 def _load_matrix(path, view_name):
     try:
         with open(path) as fh:
             first = fh.readline()
         delim = "," if "," in first else None
-        mat = np.loadtxt(path, delimiter=delim, ndmin=2)
+        mat = _loadtxt(path, delimiter=delim)
     except OSError as exc:
         raise DatasetError(f"view '{view_name}': cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DatasetError(
             f"view '{view_name}': non-numeric or ragged data in {path}: {exc}"
         ) from exc
+    if mat.size == 0:
+        raise DatasetError(f"view '{view_name}': {path} holds no data")
     return mat
 
 
@@ -276,10 +285,7 @@ def _widest_line(path):
 def load_labels(path):
     """Integer labels from a text file holding one integer per line."""
     try:
-        with warnings.catch_warnings():
-            # an empty file is refused below, not warned about
-            warnings.simplefilter("ignore", UserWarning)
-            labels = np.loadtxt(path, dtype=_LABEL_DTYPE, ndmin=2)
+        labels = _loadtxt(path, dtype=_LABEL_DTYPE)
     except OSError as exc:
         raise DatasetError(f"cannot read label file {path}: {exc}") from exc
     except ValueError as exc:

@@ -7,11 +7,8 @@ scipy.linalg, imported on first use; the Sylvester solver and the proximal
 operators are here.
 """
 
-import logging
-
 import numpy as np
 
-logger = logging.getLogger(__name__)
 SYLVESTER_SINGULAR_TOL = 1e-12
 
 
@@ -125,20 +122,14 @@ def orthogonal_procrustes(k):
     R = u @ vt from the thin SVD k = u s vt, taken through the reduced QR
     k.T = q t: with u s wt the SVD of the r x r t.T, R = (u @ wt) @ q.T.
     (An eigh of k @ k.T would square the condition number.) R @ R.T = I_r
-    holds for any input, including rank-deficient ones (a degeneracy
-    warning is logged).
+    holds for any input, including rank-deficient ones.
     """
     k = _as_matrix(k, "k")
     r, c = k.shape
     if r > c:
         raise ValueError(f"procrustes input must have rows <= cols, got {r}x{c}")
     q, t = np.linalg.qr(k.T)
-    u, s, wt = svd(t.T)
-    if s[-1] <= 1e-12 * max(s[0], 1e-300):
-        logger.warning(
-            "rank-deficient procrustes input (%dx%d, smallest singular value %.3e)",
-            r, c, s[-1],
-        )
+    u, _, wt = svd(t.T)
     return (u @ wt) @ q.T
 
 

@@ -18,7 +18,6 @@ runs wholly in float64.
 """
 
 import csv
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,6 @@ from .numerics import (
     solve_sylvester,
     spd_solve,
 )
-from .numerics import logger as numerics_logger
 
 ABLATIONS = ("full", "v1", "v2")
 
@@ -482,26 +480,6 @@ def objective(state, lam, v, n):
     return l21 + lam * off
 
 
-@contextmanager
-def _each_warning_once(log):
-    """Within the block, pass each distinct message format through `log`
-    once: a condition that holds at every iteration is reported once per
-    solve, not once per iteration."""
-    seen = set()
-
-    def first(record):
-        if record.msg in seen:
-            return False
-        seen.add(record.msg)
-        return True
-
-    log.addFilter(first)
-    try:
-        yield
-    finally:
-        log.removeFilter(first)
-
-
 def run(xa, cfg):
     """Execute the full alternating schedule on an augmented matrix.
 
@@ -526,30 +504,29 @@ def run(xa, cfg):
     spare = np.empty_like(state.z)
     trace = ConvergenceTrace()
     converged = False
-    with _each_warning_once(numerics_logger):
-        for t in range(1, cfg.max_iter + 1):
-            try:
-                target = _latent_target(state, mat, out=state.e1)
-                state.p = update_p(state, mat, target=target)
-                pta = state.p.T @ target
-                # W = I - Z goes over Z, which nothing reads again before
-                # update_z writes the new Z there
-                state.h = update_h(state, mat, pta=pta, out=(state.z, spare))
-                state.z = update_z(state, out=state.z, tmp=spare)
-                # J before E: neither step reads the other's variable
-                state.j = update_j(state, lam, v, n, out=state.j, tmp=spare)
-                state.e1, state.e2, r1, r2 = update_e(state, mat, out=e,
-                                                      ascent=True)
-            except NumericalError as exc:
-                raise NumericalError(f"iteration {t}: {exc}") from exc
-            obj = objective(state, lam, v, n)
-            r3 = np.subtract(state.j, state.z, out=spare)
-            primal = residuals(state, mat, (r1, r2, r3))
-            trace.append(*primal, obj, state.mu)
-            update_multipliers(state, mat, (None, r2, r3))
-            if max(primal) < cfg.tol:
-                converged = True
-                break
+    for t in range(1, cfg.max_iter + 1):
+        try:
+            target = _latent_target(state, mat, out=state.e1)
+            state.p = update_p(state, mat, target=target)
+            pta = state.p.T @ target
+            # W = I - Z goes over Z, which nothing reads again before
+            # update_z writes the new Z there
+            state.h = update_h(state, mat, pta=pta, out=(state.z, spare))
+            state.z = update_z(state, out=state.z, tmp=spare)
+            # J before E: neither step reads the other's variable
+            state.j = update_j(state, lam, v, n, out=state.j, tmp=spare)
+            state.e1, state.e2, r1, r2 = update_e(state, mat, out=e,
+                                                  ascent=True)
+        except NumericalError as exc:
+            raise NumericalError(f"iteration {t}: {exc}") from exc
+        obj = objective(state, lam, v, n)
+        r3 = np.subtract(state.j, state.z, out=spare)
+        primal = residuals(state, mat, (r1, r2, r3))
+        trace.append(*primal, obj, state.mu)
+        update_multipliers(state, mat, (None, r2, r3))
+        if max(primal) < cfg.tol:
+            converged = True
+            break
 
     del spare, r3  # the KKT check's temporaries take its place
     # the multiplier step leaves P, H, Z, E and J as they were, so the last

@@ -75,8 +75,16 @@ def test_cluster_missing_manifest_exit_code(tmp_path, capsys):
 
 
 def test_cluster_usage_error_exit_code(tmp_path, capsys):
-    code = cli.main(["cluster", "--clusters", "2"])  # --out missing
-    assert code == cli.EXIT_CONFIG
+    out = str(tmp_path / "o")
+    for argv, message in (
+        (["cluster", "--clusters", "2"], "--out"),
+        (["cluster", "--clusters", "2", "--out", out, "--trials", "abc"],
+         "argument --trials: invalid int value: 'abc'"),
+    ):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = only_error_record(capsys)
+        assert err["error"] == "ArgumentError"
+        assert message in err["message"]
 
 
 def test_cluster_conflicting_sources_rejected(tmp_path):
@@ -382,6 +390,8 @@ def _broken_manifest(tmp_path, case):
         labels = "0\n0\n0\n0\n"
     elif case == "no-n":
         del spec["n"]
+    elif case == "empty-view":
+        views["b.txt"] = ""
     for name, text in views.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "labels.txt").write_text(labels)
@@ -396,6 +406,7 @@ def _broken_manifest(tmp_path, case):
     ("negative-label", cli.EXIT_DATA, "negative labels"),
     ("not-json", cli.EXIT_DATA, "not valid JSON"),
     ("no-n", cli.EXIT_DATA, "must declare 'n'"),
+    ("empty-view", cli.EXIT_DATA, "holds no data"),
     ("one-cluster", cli.EXIT_DATA, ">= 2 clusters"),
     ("synthetic-not-an-object", cli.EXIT_CONFIG, "must be a JSON object"),
 ])

@@ -207,12 +207,10 @@ def test_procrustes_ill_conditioned_matches_svd_factor():
     assert np.abs(r @ r.T - np.eye(30)).max() <= 1e-12
 
 
-def test_procrustes_rank_deficient_still_orthonormal(caplog):
+def test_procrustes_rank_deficient_still_orthonormal():
     k = np.outer([1.0, 2.0], [1.0, 0.0, -1.0, 3.0])  # rank 1, 2x4
-    with caplog.at_level("WARNING"):
-        r = orthogonal_procrustes(k)
+    r = orthogonal_procrustes(k)
     assert_allclose(r @ r.T, np.eye(2), atol=1e-10)
-    assert any("rank-deficient" in rec.message for rec in caplog.records)
 
 
 def test_procrustes_rejects_tall_input():

@@ -193,13 +193,14 @@ def test_every_benchmark_workload_holds_its_acc_floor(tmp_path):
 
 
 def run_child(child):
-    """Run `child` in a fresh interpreter on the source tree; its stdout."""
+    """Run `child` in a fresh interpreter on the source tree, which must exit
+    0; the finished process, its stdout and stderr captured."""
     src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", child], env=env, check=True,
-                          capture_output=True, text=True).stdout
+                          capture_output=True, text=True)
 
 
 def test_cli_cluster_loads_scipy_only_for_the_dense_h_step(tmp_path):
@@ -222,7 +223,7 @@ def test_cli_cluster_loads_scipy_only_for_the_dense_h_step(tmp_path):
         f"for argv in {runs!r}:\n"
         "    print(cli.main(argv), bool(scipy()), 'scipy.linalg' in scipy())\n"
     )
-    out = run_child(child).splitlines()
+    out = run_child(child).stdout.splitlines()
     assert out[-3:] == ["[]", "0 False False", "0 True True"], out
 
 
@@ -237,5 +238,19 @@ def test_cli_eval_does_not_load_scipy_optimize(tmp_path):
         f"code = cli.main(['eval', {str(labels)!r}, {str(labels)!r}])\n"
         "print(code, 'scipy.optimize' in sys.modules)\n"
     )
-    out = run_child(child)
+    out = run_child(child).stdout
     assert out.splitlines()[-1] == "0 False", out
+
+
+def test_cli_cluster_above_the_data_rank_writes_nothing_to_stderr(tmp_path):
+    # k = 3 above rank X = 1 makes every Procrustes input rank-deficient;
+    # a successful run reports through its artifacts alone. Only a fresh
+    # interpreter shows a stray log record: in-process, pytest's log capture
+    # takes it before Python's last-resort handler can print it
+    spec = {"clusters": 2, "per_cluster": 3, "views": 2, "latent_dim": 1,
+            "view_dims": [3, 3]}
+    argv = ["cluster", "--synthetic", json.dumps(spec), "--clusters", "2",
+            "--latent-dim", "3", "--trials", "2", "--out", str(tmp_path / "o")]
+    child = f"import sys\nfrom elmsc import cli\nsys.exit(cli.main({argv!r}))\n"
+    assert run_child(child).stderr == ""
+    assert (tmp_path / "o" / "report.json").exists()
