@@ -6,8 +6,8 @@ labels. `sweep` repeats the trials over a lambda/latent-dim grid on one
 prepared dataset. `synth` writes a synthetic dataset in the manifest format,
 and `eval` scores two label files.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error (an input too
+large for memory included), 3 numerical failure.
 """
 
 import argparse
@@ -168,8 +168,9 @@ def _run_trials(cfg, xa, labels):
         (xa, replace(scfg, seed=scfg.seed + t), cfg.clusters, t, labels)
         for t in range(cfg.trials)
     ]
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
+    workers = min(cfg.workers, cfg.trials)  # a pool starts all its workers
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(_trial_job, payloads))
     else:
         results = [_trial_job(p) for p in payloads]
@@ -371,7 +372,7 @@ def main(argv=None):
     except ValueError as exc:
         _emit_error(exc)
         return EXIT_CONFIG
-    except (DatasetError, OSError) as exc:
+    except (DatasetError, OSError, MemoryError) as exc:
         _emit_error(exc)
         return EXIT_DATA
 

@@ -150,29 +150,22 @@ def build_augmented(ds, pca_components, identity_similarity=False):
             f"use a value in [1, {limit}]"
         )
     v, n = ds.n_views, ds.n_samples
+    sim = {}  # S(p, q) for each off-diagonal block, none under the test hook
     if not identity_similarity and v > 1:
         aligned = [pca_reduce(x, pca_components) for x in ds.views]
-        sim = {}
         for p in range(v):
             for q in range(p + 1, v):
-                s = cosine_similarity(aligned[p], aligned[q])
-                sim[(p, q)] = s
-                sim[(q, p)] = s.T
-    else:
-        sim = None
+                sim[p, q] = cosine_similarity(aligned[p], aligned[q])
+                sim[q, p] = sim[p, q].T
 
     dims = ds.view_dims
     row_off = tuple(int(x) for x in np.concatenate([[0], np.cumsum(dims)[:-1]]))
-    xa = np.empty((sum(dims), v * n))
-    for p in range(v):
-        r0, r1 = row_off[p], row_off[p] + dims[p]
+    aug = AugmentedMatrix(xa=np.empty((sum(dims), v * n)), block_rows=row_off,
+                          pca_dim=pca_components)
+    for p, x in enumerate(ds.views):
         for q in range(v):
-            c0 = q * n
-            if p == q or sim is None:
-                xa[r0:r1, c0:c0 + n] = ds.views[p]
-            else:
-                xa[r0:r1, c0:c0 + n] = ds.views[p] @ sim[(p, q)]
-    return AugmentedMatrix(xa=xa, block_rows=row_off, pca_dim=pca_components)
+            aug.block(p, q)[...] = x @ sim[p, q] if (p, q) in sim else x
+    return aug
 
 
 def default_pca_components(clusters, ds):

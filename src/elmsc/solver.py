@@ -19,6 +19,7 @@ runs wholly in float64.
 
 import csv
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,13 +48,15 @@ class ElmscConfig:
     `lam` weighs the l1 penalty on the off-diagonal blocks of Z; `latent_dim`
     is the row count of H. Ablations: "v1" drops the sparsity term (lam
     treated as 0), "v2" zeroes the off-diagonal blocks of the augmented data
-    matrix before solving.
+    matrix before solving. The stop rule, `tol` and `max_iter`, is the same
+    for every run, so it is held on the class, not per instance.
     """
+
+    tol: ClassVar[float] = 1e-3
+    max_iter: ClassVar[int] = 100
 
     lam: float
     latent_dim: int
-    tol: float = 1e-3
-    max_iter: int = 100
     seed: int = 0
     ablation: str = "full"
 
@@ -62,10 +65,6 @@ class ElmscConfig:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be positive, got {self.latent_dim}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if self.ablation not in ABLATIONS:
             raise ValueError(
                 f"ablation must be one of {ABLATIONS}, got {self.ablation!r}"
@@ -177,10 +176,9 @@ def check_latent_dim(k, d):
 # dtype of the vn x vn iterates Z, J and Y3; `run`'s spare follows Z
 VN2_DTYPE = np.float32
 
-# the penalty schedule. RHO = 3 needs about 30% fewer iterations than 2 at
-# the same clustering accuracy, though where lam is large it stops at a
-# higher objective value; 4 saves a few more iterations but lowers the
-# accuracy on a noisy low-dimensional family
+# the penalty schedule. RHO = 3 needs fewer iterations than 2 at the same
+# clustering accuracy, though where lam is large it stops at a higher
+# objective value; 4 lowers the accuracy on a noisy low-dimensional family
 MU0, MU_MAX, RHO = 1e-4, 1e6, 3.0
 
 
@@ -194,13 +192,9 @@ def init_state(xa, cfg):
     products with W = I - Z or its Gram and Cholesky, the Z step's product
     H.T S^-1 G, the J shrinkage) are bound by memory bandwidth or
     gemm speed, which float32 halves, and their rounding of 6e-8 relative
-    stays far below the 1e-3 stop. X, P, H, E1, E2, Y1 and Y2 are float64.
-    Measured on float32 variants: with X, E and Y1 in float32, Y1/mu (about
-    2e-4) is lost against X (about 800) and the final l2,1 KKT gap reads
-    2e-2 to 6e-2 on a noisy family; with H in float32, S = I + H H.T (|H|
-    about 600) is solved in float32, and a k = 100 solve broke down in its
-    dense H step's Cholesky; and H - H Z formed in float32 misreads the
-    self-representation gap by 1.4e-3.
+    stays far below the 1e-3 stop. X, P, H, E1, E2, Y1 and Y2 are float64:
+    in float32, Y1/mu is lost against X, a large H breaks the dense H
+    step's Cholesky, and H - H Z misreads the self-representation gap.
     """
     d, vn = xa.xa.shape
     k = cfg.latent_dim
@@ -249,10 +243,7 @@ def _latent_target(state, xa, out=None):
 
 def _latent_gap(h, z):
     """H - H Z in float64, summed over row panels of Z, each copied into a
-    float64 scratch panel, so that a float32 Z is never copied whole.
-    Computed in float32, it misread the self-representation gap by 1.4e-3
-    on a noisy vn = 600 family. (64-row panels took 10-20% less time than
-    32-row ones.)"""
+    float64 scratch panel, so that a float32 Z is never copied whole."""
     dh = h.copy()
     for s, panel in _row_panels(*z.shape, step=64):
         np.copyto(panel, z[s])
@@ -275,26 +266,19 @@ def update_p(state, xa, target=None):
 # Warm-started CG iterations the H step budgets for. Each costs one
 # 4k vn^2-flop product, the Gram plus factorization 1.33 vn^3 flops, so CG
 # is taken while (CG_ITERS + 2) * 4k < 1.33 vn: k < vn / 36, e.g. k <= 16 at
-# vn = 600. Measured in float32 with one OpenBLAS thread on a 2-vCPU x86-64
-# host (Haswell kernels) at vn = 600: the syrk plus spotrf took 4.0-5.4 ms,
-# one CG product 0.52 ms at k = 8 (about 40% of the factorization's flop
-# rate) and 0.91-1.0 ms at k = 30. With the float32 stop, CG took 1 and 2
-# iterations in the first two H steps, then 0-5, median 3, on the dense-k8
-# benchmark data (20 seeds), and 0-7, median 2-5, on acceptance criterion
-# 5's thin family (seeds 0-2, each ablation). So the budget stands for about
-# five products at the lower rate; on both data whole solves ran 20-40%
-# faster by CG than with the dense step.
+# vn = 600. A CG product runs at a lower flop rate than the factorization,
+# so the budget stands for fewer products than it names.
 CG_ITERS = 10
 
 
-def update_h(state, xa, pta=None, out=None):
+def update_h(state, xa, target=None, out=None):
     """Latent step: solve the Sylvester system A H + H B = C.
 
     The subproblem's normal equations, divided through by mu, have
     A = P.T P, B = W W.T with W = I - Z, and C = P.T T - (Y2/mu - E2) W.T,
-    where T = X + Y1/mu - E1 is update_p's target; `pta` takes the k x vn
-    product P.T T when the caller has it, and then E1 (in `run`, holding T
-    by then) is not read. When P is orthonormal, as update_p always returns
+    where T = X + Y1/mu - E1 is update_p's target; `target` takes T when the
+    caller already has it, and then E1 is not read (in `run` E1's buffer
+    holds T by then). When P is orthonormal, as update_p always returns
     it, A is I and the system reduces to H (I + W W.T) = C, SPD. Its
     solver is chosen from the shapes alone: for k small against vn,
     conjugate gradients on the k rows (`gram_cg_solve`), warm-started from
@@ -314,9 +298,8 @@ def update_h(state, xa, pta=None, out=None):
     W and B take Z's dtype, and C, H and the CG iterate H's, float64. A
     k x vn operand is cast to Z's dtype before its product with W, so that
     W is never copied into float64. The dense step factors B in its own
-    precision and solves with the factor in C's: at vn = 600, k = 100,
-    lam = 1000, float32 solves moved the final objective by 2e-5 to 6e-5
-    relative, float64 ones by 3e-6.
+    precision and solves with the factor in C's, since a float32 solve
+    moves the final objective an order of magnitude more.
     """
     p, z = state.p, state.z
     k, vn = p.shape[1], z.shape[0]
@@ -324,7 +307,7 @@ def update_h(state, xa, pta=None, out=None):
     wbuf, bbuf = (None, None) if out is None else out
     w = np.negative(z, out=wbuf)
     w.flat[diag] += 1.0
-    c = p.T @ _latent_target(state, xa) if pta is None else pta
+    c = p.T @ (_latent_target(state, xa) if target is None else target)
     d = (state.y2 / state.mu - state.e2).astype(w.dtype, copy=False)
     c = c - d @ w.T
     ptp = p.T @ p
@@ -361,9 +344,8 @@ def update_z(state, out=None, tmp=None):
     buffer, whatever it holds, since the step does not read Z; neither may
     be J or Y3, which it reads, nor may the two be the same.
 
-    Z takes Y3's dtype. H - H A is summed in float64 (`_latent_gap`): at
-    vn = 600, k = 100, |H| about 600, a float32 sum left a Z step a mean
-    2e-6 off per entry, the float64 one 6e-9. S and its solve are float64,
+    Z takes Y3's dtype. H - H A is summed in float64 (`_latent_gap`), since
+    a float32 sum loses digits once |H| is large. S and its solve are float64,
     and H and S^-1 G are cast to Z's dtype for the product H.T S^-1 G, so
     that A is never copied into another precision.
     """
@@ -508,10 +490,10 @@ def run(xa, cfg):
         try:
             target = _latent_target(state, mat, out=state.e1)
             state.p = update_p(state, mat, target=target)
-            pta = state.p.T @ target
             # W = I - Z goes over Z, which nothing reads again before
             # update_z writes the new Z there
-            state.h = update_h(state, mat, pta=pta, out=(state.z, spare))
+            state.h = update_h(state, mat, target=target,
+                               out=(state.z, spare))
             state.z = update_z(state, out=state.z, tmp=spare)
             # J before E: neither step reads the other's variable
             state.j = update_j(state, lam, v, n, out=state.j, tmp=spare)

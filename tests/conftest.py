@@ -9,7 +9,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from elmsc.solver import AdmmState  # noqa: E402
+from elmsc.solver import AdmmState, ElmscConfig  # noqa: E402
 
 
 def random_row_orthonormal(rng, r, c):
@@ -33,6 +33,13 @@ def random_admm_state(rng, d, k, v, n, mu=1.0):
         y3=rng.standard_normal((vn, vn)) * 0.1,
         mu=mu,
     )
+
+
+def fix_iterations(monkeypatch, n):
+    """Make every solve in the test run exactly n iterations: the stop
+    rule is a class constant of ElmscConfig, not a per-run setting."""
+    monkeypatch.setattr(ElmscConfig, "tol", 1e-300)
+    monkeypatch.setattr(ElmscConfig, "max_iter", n)
 
 
 def phi(theta, psi, mu):

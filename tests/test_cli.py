@@ -111,7 +111,7 @@ def test_cluster_report_embeds_resolved_config(tmp_path):
     report = cli.cmd_cluster(tiny_config(tmp_path))
     conf = report["config"]
     for key in ("lambda", "latent_dim", "trials", "seed", "ablation",
-                "pca_components", "tol", "max_iter"):
+                "pca_components"):
         assert key in conf
 
 
@@ -137,8 +137,8 @@ def test_trial_record_and_config_keys(tmp_path):
         "trace_file", "wall_clock_sec", "trial", "seed"}
     assert set(report["config"]) == {
         "ablation", "clusters", "lambda", "latent_dim", "manifest",
-        "max_iter", "pca_components", "random_params", "seed",
-        "seed_derivation", "synthetic", "tol", "trials", "workers"}
+        "pca_components", "random_params", "seed", "seed_derivation",
+        "synthetic", "trials", "workers"}
 
 
 def test_random_params_drawn_once_per_run(monkeypatch, tmp_path):
@@ -165,6 +165,47 @@ def test_cluster_workers_match_serial(tmp_path):
         report["config"].pop("workers")  # the only legitimate difference
     assert json.dumps(strip_wall_clock(serial), sort_keys=True) == \
         json.dumps(strip_wall_clock(parallel), sort_keys=True)
+
+
+def test_worker_pool_is_no_larger_than_the_trial_count(monkeypatch, tmp_path):
+    # a process pool starts all of its workers at the first submit, so a
+    # pool sized by --workers alone would fork processes with no trial
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    cli.cmd_cluster(tiny_config(tmp_path / "a", trials=2, workers=64))
+    cli.cmd_cluster(tiny_config(tmp_path / "b", trials=1, workers=64))
+    assert sizes == [2]
+
+
+def test_solver_config_has_no_field_the_cli_leaves_unset(monkeypatch,
+                                                          tmp_path):
+    # every ElmscConfig field is a setting a run can choose; a value only
+    # tests set belongs on the class as a constant
+    passed = []
+    config = solver.ElmscConfig
+
+    def recording(**kwargs):
+        passed.append(set(kwargs))
+        return config(**kwargs)
+
+    monkeypatch.setattr(solver, "ElmscConfig", recording)
+    cli.cmd_cluster(tiny_config(tmp_path))
+    assert passed == [{f.name for f in dataclasses.fields(config)}]
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +597,22 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert code == cli.EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "NumericalError"
+
+
+def test_input_too_large_for_memory_is_data_error(monkeypatch, tmp_path,
+                                                   capsys):
+    # numpy's allocation failure; building it allocates nothing
+    def too_large(*args, **kwargs):
+        raise np._core._exceptions._ArrayMemoryError((10**6, 10**6),
+                                                     np.dtype("float64"))
+
+    monkeypatch.setattr(cli.ds_mod, "build_augmented", too_large)
+    out = tmp_path / "o"
+    code = cli.main(["cluster", "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert only_error_record(capsys)["error"] == "MemoryError"
+    assert not out.exists()
 
 
 def test_overflow_during_setup_is_numerical_exit(tmp_path, capsys):

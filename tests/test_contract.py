@@ -62,6 +62,25 @@ def synthetic_specs(draw):
             "seed": draw(st.integers(0, 3))}
 
 
+def assert_exit_contract(argv, out, artifact):
+    """Run the CLI on argv and check its exit-class contract: exit 0 leaves
+    an empty stderr and `artifact` in `out`; any other exit writes exactly
+    one JSON error record, and exits 1 and 2 leave no `out`."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA,
+                    cli.EXIT_NUMERIC), code
+    if code == cli.EXIT_OK:
+        assert stderr.getvalue() == ""
+        assert (out / artifact).exists()
+    else:
+        [line] = stderr.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "message"}
+        if code in (cli.EXIT_CONFIG, cli.EXIT_DATA):
+            assert not out.exists()
+
+
 # the example's latent dim 3 exceeds its data's rank of 1, so every
 # Procrustes input in its solve is rank-deficient
 @settings(CONTRACT, max_examples=60)
@@ -70,21 +89,172 @@ def synthetic_specs(draw):
           "view_dims": [3, 3]}, 2, 3)
 def test_cluster_reports_through_its_artifacts_or_one_error_record(
         spec, clusters, latent_dim):
-    stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        argv = ["cluster", "--synthetic", json.dumps(spec),
-                "--clusters", str(clusters), "--latent-dim", str(latent_dim),
-                "--trials", "1", "--out", str(out)]
-        with contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA,
-                        cli.EXIT_NUMERIC), code
-        if code == cli.EXIT_OK:
-            assert stderr.getvalue() == ""
-            assert (out / "report.json").exists()
+        assert_exit_contract(
+            ["cluster", "--synthetic", json.dumps(spec), "--clusters",
+             str(clusters), "--latent-dim", str(latent_dim), "--trials", "1",
+             "--out", str(out)], out, "report.json")
+
+
+# Any JSON value. Its integers stay in [-3, 3], so that a count drawn from
+# here keeps every dataset at n <= 12 samples: a large count would allocate
+# n x n arrays.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=2)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=4)
+ODD_JSON = st.sampled_from([math.nan, math.inf, -math.inf]) | JSON
+
+
+@st.composite
+def any_specs(draw):
+    """A small well-formed spec (n <= 12) with up to two fields set to any
+    JSON value, NaN and Infinity included, up to one field missing and up
+    to one extra key."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    spec = {"clusters": draw(st.integers(2, 4)),
+            "per_cluster": draw(st.integers(1, 3)),
+            "views": len(dims),
+            "latent_dim": draw(st.integers(1, min(dims))),
+            "view_dims": dims,
+            "noise_sigma": draw(st.floats(0, 1)),
+            "seed": draw(st.integers())}
+    names = st.sampled_from(sorted(spec))
+    for name in draw(st.sets(names, max_size=2)):
+        spec[name] = draw(ODD_JSON)
+    keys = draw(st.sampled_from(["as drawn"] * 4 + ["one missing", "extra"]))
+    if keys == "one missing":
+        del spec[draw(names)]
+    elif keys == "extra":
+        spec[draw(st.text(max_size=3))] = draw(JSON)
+    return spec
+
+
+@settings(CONTRACT, max_examples=120)
+@given(any_specs())
+def test_any_synthetic_spec_keeps_the_exit_contract(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert_exit_contract(
+            ["cluster", "--synthetic", json.dumps(spec), "--clusters", "2",
+             "--latent-dim", "1", "--trials", "1", "--out", str(out)],
+            out, "report.json")
+
+
+MANIFEST_DEFECTS = (
+    "n", "rows", "cols", "drop-key", "extra-key", "views-type", "top-type",
+    "nan", "inf", "ragged", "empty-file", "blank-lines", "commas",
+    "label-float", "label-negative", "label-length")
+
+
+@st.composite
+def manifests(draw):
+    """(manifest, {file name: text}) for n <= 8 samples in one or two views
+    of at most 4 rows, with up to two defects from MANIFEST_DEFECTS."""
+    defects = draw(st.sets(st.sampled_from(MANIFEST_DEFECTS), max_size=2))
+    wrong = st.integers(-3, 12) | ODD_JSON
+    n = draw(st.integers(1, 8))
+    files, views = {}, []
+    for i in range(draw(st.integers(1, 2))):
+        rows = draw(st.integers(1, 4))
+        values = [draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+                  for _ in range(rows)]
+        if "nan" in defects or "inf" in defects:
+            values[-1][-1] = math.nan if "nan" in defects else -math.inf
+        lines = [(", " if "commas" in defects else " ").join(map(repr, row))
+                 for row in values]
+        if "ragged" in defects:
+            lines[-1] += " 1.0"
+        sep = "\n\n" if "blank-lines" in defects else "\n"
+        text = "" if "empty-file" in defects else sep.join(lines) + "\n"
+        files[f"view{i}.txt"] = text
+        view = {"name": f"v{i}", "path": f"view{i}.txt", "rows": rows,
+                "cols": n}
+        for key in ("rows", "cols"):
+            if key in defects:
+                view[key] = draw(wrong)
+        if "drop-key" in defects:
+            del view[draw(st.sampled_from(sorted(view)))]
+        if "extra-key" in defects:
+            view[draw(st.text(max_size=3))] = draw(JSON)
+        views.append(view)
+    manifest = {"n": draw(wrong) if "n" in defects else n, "views": views}
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        if "label-length" in defects:
+            labels = labels[1:] if draw(st.booleans()) else labels + [0]
+        lines = [str(x) for x in labels]
+        if "label-negative" in defects and lines:
+            lines[0] = "-1"
+        if "label-float" in defects and lines:
+            lines[-1] = f"{labels[-1]}.5"
+        files["labels.txt"] = "\n".join(lines) + "\n"
+        manifest["labels"] = "labels.txt"
+    if "views-type" in defects:
+        manifest["views"] = draw(JSON)
+    if "top-type" in defects:
+        manifest = draw(st.lists(JSON, max_size=2))
+    return manifest, files
+
+
+@settings(CONTRACT, max_examples=150)
+@given(manifests())
+def test_any_manifest_keeps_the_exit_contract(case):
+    manifest, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in files.items():
+            (tmp / name).write_text(text)
+        (tmp / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp / "out"
+        assert_exit_contract(
+            ["cluster", "--manifest", str(tmp / "manifest.json"),
+             "--clusters", "2", "--latent-dim", "1", "--trials", "1",
+             "--out", str(out)], out, "report.json")
+
+
+FLAG_SPEC = {"clusters": 2, "per_cluster": 4, "views": 2, "latent_dim": 2,
+             "view_dims": [4, 3], "noise_sigma": 0.1, "seed": 0}  # n=8, d=7
+HUGE = str(10**30)
+ODD = (st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", HUGE,
+                        "-" + HUGE])
+       | st.integers(-3, 6).map(str) | st.floats().map(repr))
+# each numeric flag's usual values on FLAG_SPEC
+FLAGS = {"--clusters": st.integers(2, 4).map(str),
+         "--seed": st.integers(0, 3).map(str),
+         "--lambda": st.floats(0, 10).map(repr),
+         "--latent-dim": st.integers(1, 7).map(str),
+         "--lambda-grid": st.floats(0, 10).map(repr),
+         "--k-grid": st.integers(1, 7).map(str)}
+
+
+@st.composite
+def flag_argvs(draw):
+    """`cluster` or `sweep` argv on FLAG_SPEC with up to two numeric flags
+    taking odd values (nan, inf, negative, huge), at most 2 trials, 2
+    workers and 2 entries per grid."""
+    command = draw(st.sampled_from(["cluster", "sweep"]))
+    names = ["--clusters", "--seed",
+             *(["--lambda", "--latent-dim"] if command == "cluster"
+               else ["--lambda-grid", "--k-grid"])]
+    odd = draw(st.sets(st.sampled_from(names), max_size=2))
+    argv = [command, "--synthetic", json.dumps(FLAG_SPEC),
+            f"--trials={draw(st.sampled_from('12'))}",
+            f"--workers={draw(st.sampled_from('12'))}"]
+    for name in names:
+        values = ODD if name in odd else FLAGS[name]
+        if name.endswith("-grid"):
+            argv += [name, *draw(st.lists(values, min_size=1, max_size=2))]
         else:
-            [line] = stderr.getvalue().splitlines()
-            assert set(json.loads(line)) == {"error", "message"}
-            if code in (cli.EXIT_CONFIG, cli.EXIT_DATA):
-                assert not out.exists()
+            argv.append(f"{name}={draw(values)}")
+    return argv
+@settings(CONTRACT, max_examples=80)
+@given(flag_argvs())
+def test_any_numeric_flag_keeps_the_exit_contract(argv):
+    artifact = "report.json" if argv[0] == "cluster" else "summary.csv"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert_exit_contract([*argv, "--out", str(out)], out, artifact)

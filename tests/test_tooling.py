@@ -16,6 +16,8 @@ from elmsc import cli
 from elmsc.dataset import build_augmented, gen_synthetic
 from elmsc.solver import ElmscConfig
 
+from conftest import fix_iterations
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CLUSTER = ROOT / "bench" / "traced_cluster.py"
 BENCH_RUN = ROOT / "bench" / "run.py"
@@ -68,15 +70,17 @@ def test_run_calls_every_traced_solver_layer_through_its_attribute(monkeypatch):
         monkeypatch.setattr(solver, attr, counting(attr, getattr(solver, attr)))
     ds = gen_synthetic(clusters=2, per_cluster=6, views=2, latent_dim=3,
                        view_dims=[6, 5], noise_sigma=0.1, seed=0)
+    fix_iterations(monkeypatch, 3)
     out = solver.run(build_augmented(ds, 3),
-                     ElmscConfig(lam=1.0, latent_dim=3, tol=1e-300, max_iter=3))
+                     ElmscConfig(lam=1.0, latent_dim=3))
     assert len(out.trace) == 3
     assert calls == {attr: 3 * n for attr, n in PER_ITERATION.items()}
 
 
-def traced_solve(traced, per_cluster, latent_dim, max_iter):
-    """One solve under the traced benchmark's wrappers and hooks, installed
-    as `bench/run.py --trace 1` installs them; returns the tracer."""
+def traced_solve(monkeypatch, traced, per_cluster, latent_dim, max_iter):
+    """One solve of max_iter iterations under the traced benchmark's
+    wrappers and hooks, installed as `bench/run.py --trace 1` installs
+    them; returns the tracer."""
     before = [(module, attr, getattr(module, attr))
               for module, attr, _ in traced.TRACED]
     tracer = traced.Tracer()
@@ -85,9 +89,9 @@ def traced_solve(traced, per_cluster, latent_dim, max_iter):
         ds = gen_synthetic(clusters=2, per_cluster=per_cluster, views=2,
                            latent_dim=3, view_dims=[6, 5], noise_sigma=0.1,
                            seed=0)
+        fix_iterations(monkeypatch, max_iter)
         out = solver.run(build_augmented(ds, 3),
-                         ElmscConfig(lam=1.0, latent_dim=latent_dim,
-                                     tol=1e-300, max_iter=max_iter))
+                         ElmscConfig(lam=1.0, latent_dim=latent_dim))
     finally:
         tracer.uninstall()
     assert len(out.trace) == max_iter
@@ -95,14 +99,15 @@ def traced_solve(traced, per_cluster, latent_dim, max_iter):
     return tracer
 
 
-def test_traced_benchmark_hooks_record_every_solver_layer():
+def test_traced_benchmark_hooks_record_every_solver_layer(monkeypatch):
     # runs the traced benchmark's wrappers and hooks as `bench/run.py
     # --trace 1` does; a hook with a fixed signature (as spd_solve's is)
     # breaks when `run` passes it a new keyword
     traced = load_traced()
     names = {attr: name for module, attr, name in traced.TRACED
              if module is solver}
-    tracer = traced_solve(traced, per_cluster=6, latent_dim=3, max_iter=2)
+    tracer = traced_solve(monkeypatch, traced, per_cluster=6, latent_dim=3,
+                          max_iter=2)
     calls = tracer.summary()["calls"]
     assert calls["solver.run"] == calls["solver.kkt_residuals"] == 1
     for attr, n in PER_ITERATION.items():
@@ -110,11 +115,12 @@ def test_traced_benchmark_hooks_record_every_solver_layer():
     assert tracer.spd_gflop > 0
 
 
-def test_traced_benchmark_hooks_on_the_cg_h_step():
+def test_traced_benchmark_hooks_on_the_cg_h_step(monkeypatch):
     # vn = 80 > 36 k: the cost rule takes the CG H step, which calls no
     # spd_solve, and the Z step's k x k solve does not either
     traced = load_traced()
-    tracer = traced_solve(traced, per_cluster=20, latent_dim=2, max_iter=3)
+    tracer = traced_solve(monkeypatch, traced, per_cluster=20, latent_dim=2,
+                          max_iter=3)
     calls = tracer.summary()["calls"]
     assert calls["solver.update_h"] == 3
     assert calls["numerics.spd_solve"] == 0
