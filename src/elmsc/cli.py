@@ -143,7 +143,7 @@ def _prepare(cfg):
 
 
 def cmd_cluster(cfg):
-    """Run `trials` independent pipelines and write report + artifacts.
+    """Run `trials` independent pipelines, then write report + artifacts.
 
     Trial i uses seed = base seed + i for both the solver initialization and
     the k-means restarts. Returns the report dict.
@@ -158,11 +158,8 @@ def _run_trials(cfg, xa, labels):
     """The trials of one run at cfg.lam and cfg.latent_dim; see cmd_cluster."""
     scfg = solver_mod.ElmscConfig(lam=cfg.lam, latent_dim=cfg.latent_dim,
                                   seed=cfg.seed, ablation=cfg.ablation)
-    # before the output directory exists: a config error leaves nothing
+    # before any trial, so that no worker pool starts for a k above d
     solver_mod.check_latent_dim(scfg.latent_dim, xa.xa.shape[0])
-
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     payloads = [
         (xa, replace(scfg, seed=scfg.seed + t), cfg.clusters, t, labels)
@@ -175,28 +172,23 @@ def _run_trials(cfg, xa, labels):
     else:
         results = [_trial_job(p) for p in payloads]
 
-    records, trial_tuples = [], []
+    # only now, so that a failed trial leaves no output directory
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = [record for record, _, _ in results]
     for record, pred, trace in results:
-        records.append(record)
-        if record["metrics"] is not None:
-            trial_tuples.append(tuple(record["metrics"].values()))
         np.savetxt(out_dir / record["labels_file"], pred, fmt="%d")
         trace.write_csv(out_dir / record["trace_file"])
-
-    aggregate = None
-    if trial_tuples:
-        aggregate = metrics_mod.aggregate_trials(trial_tuples)
+    aggregate = None if labels is None else metrics_mod.aggregate_trials(
+        [tuple(record["metrics"].values()) for record in records])
 
     # the output directory differs between otherwise identical runs, and
-    # the grids matter only to the draw, which random_draw records
-    config = {**asdict(cfg), **asdict(scfg), "pca_components": xa.pca_dim,
+    # the grids matter only to the draw, which lambda and latent_dim hold
+    config = {**asdict(cfg), "pca_components": xa.pca_dim,
               "seed_derivation": "trial seed = base seed + trial index"}
     for name in ("out", "lambda_grid", "k_grid"):
         del config[name]
     config["lambda"] = config.pop("lam")
-    if cfg.random_params:
-        config["random_draw"] = {"lambda": cfg.lam,
-                                 "latent_dim": cfg.latent_dim}
     report = {"config": config, "trials": records, "aggregate": aggregate}
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -209,9 +201,9 @@ def cmd_sweep(cfg):
 
     The dataset is prepared once, and each cell runs the trials of a full
     cmd_cluster on it into its own subdirectory. A data error aborts the
-    sweep; a failing cell is recorded in its summary and the sweep goes on.
-    With random_params a single uniformly drawn cell runs instead of the
-    full grid. Returns the list of cell summaries.
+    sweep; a failing cell writes no directory, its summary records the
+    error, and the sweep goes on. With random_params a single uniformly
+    drawn cell runs instead of the full grid. Returns the cell summaries.
     """
     if cfg.random_params:
         cells = [_draw_params(cfg)]
@@ -228,19 +220,15 @@ def cmd_sweep(cfg):
     summaries = []
     for (lam, k), name in zip(cells, names):
         cell_dir = out_dir / name
-        cell = {
-            "lambda": lam,
-            "latent_dim": k,
-            "report": str(cell_dir / "report.json"),
-        }
+        cell = {"lambda": lam, "latent_dim": k}
         cell_cfg = replace(cfg, out=str(cell_dir), lam=lam, latent_dim=k)
         try:
             report = _run_trials(cell_cfg, xa, labels)
-        except (ValueError, NumericalError, OSError) as exc:
+        except (ValueError, NumericalError, OSError, MemoryError) as exc:
             cell.update(status="failed", error=f"{type(exc).__name__}: {exc}")
             summaries.append(cell)
             continue
-        cell["status"] = "ok"
+        cell.update(status="ok", report=str(cell_dir / "report.json"))
         if report["aggregate"] is not None:
             for name, stats in report["aggregate"].items():
                 cell[f"{name}_mean"] = stats["mean"]

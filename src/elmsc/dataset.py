@@ -298,8 +298,8 @@ def load_labels(path):
 
 
 def save_dataset(ds, out_dir):
-    """Write a labeled dataset as load_dataset reads it (view files,
-    labels.txt, manifest.json) and return the manifest path."""
+    """Write a dataset as load_dataset reads it (view files, labels.txt if
+    it has labels, manifest.json) and return the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -313,8 +313,10 @@ def save_dataset(ds, out_dir):
             "rows": view.shape[0],
             "cols": view.shape[1],
         })
-    np.savetxt(out / "labels.txt", ds.labels, fmt="%d")
-    manifest = {"n": ds.n_samples, "views": entries, "labels": "labels.txt"}
+    manifest = {"n": ds.n_samples, "views": entries}
+    if ds.labels is not None:
+        np.savetxt(out / "labels.txt", ds.labels, fmt="%d")
+        manifest["labels"] = "labels.txt"
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import warnings
@@ -119,14 +120,27 @@ def test_cluster_random_params_draw_recorded(tmp_path):
     cfg = tiny_config(tmp_path, random_params=True, lam=0.5, latent_dim=2,
                       k_grid=(3,), trials=1)
     report = cli.cmd_cluster(cfg)
-    draw = report["config"]["random_draw"]
-    assert draw["lambda"] in cli.DEFAULT_LAMBDA_GRID
-    assert draw["latent_dim"] == 3
+    # the run's own lambda and latent_dim are the draw
+    assert report["config"]["lambda"] in cli.DEFAULT_LAMBDA_GRID
+    assert report["config"]["latent_dim"] == 3
     assert report["config"]["random_params"] is True
-    assert (report["config"]["lambda"], report["config"]["latent_dim"]) == \
-        (draw["lambda"], draw["latent_dim"])
     # the draw goes into the run's own config, not the caller's
     assert (cfg.lam, cfg.latent_dim) == (0.5, 2)
+
+
+def test_cluster_without_labels_has_no_metrics_and_no_aggregate(tmp_path):
+    spec = {**TINY_SPEC, "per_cluster": 6}  # 2 views, 12 samples
+    manifest = cli.cmd_synth(spec, tmp_path / "data")
+    entries = json.loads(manifest.read_text())
+    del entries["labels"]
+    manifest.write_text(json.dumps(entries))
+    out = tmp_path / "o"
+    assert cli.main(["cluster", "--manifest", str(manifest), "--clusters", "2",
+                     "--latent-dim", "3", "--trials", "2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["aggregate"] is None
+    assert [t["metrics"] for t in report["trials"]] == [None, None]
 
 
 def test_trial_record_and_config_keys(tmp_path):
@@ -363,10 +377,8 @@ def test_sweep_random_params_report_records_the_draw(tmp_path):
     [cell] = cli.cmd_sweep(cfg)
     conf = json.loads(Path(cell["report"]).read_text())["config"]
     assert conf["random_params"] is True
-    drawn = (cell["lambda"], cell["latent_dim"])
-    assert (conf["random_draw"]["lambda"],
-            conf["random_draw"]["latent_dim"]) == drawn
-    assert (conf["lambda"], conf["latent_dim"]) == drawn
+    assert (conf["lambda"], conf["latent_dim"]) == (cell["lambda"],
+                                                    cell["latent_dim"])
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +627,58 @@ def test_input_too_large_for_memory_is_data_error(monkeypatch, tmp_path,
     assert not out.exists()
 
 
+def raise_in_trial(monkeypatch, exc, latent_dim=None):
+    """Make solver.run raise exc inside a trial (at latent_dim only, if
+    given), as a failure after the set-up has passed would."""
+    run = solver.run
+
+    def failing(xa, scfg):
+        if latent_dim in (None, scfg.latent_dim):
+            raise exc
+        return run(xa, scfg)
+
+    monkeypatch.setattr(solver, "run", failing)
+
+
+def array_memory_error():
+    # numpy's allocation failure; building it allocates nothing
+    return np._core._exceptions._ArrayMemoryError((10**6, 10**6),
+                                                 np.dtype("float64"))
+
+
+@pytest.mark.parametrize("exc,code,name", [
+    (array_memory_error(), cli.EXIT_DATA, "MemoryError"),
+    (cli.NumericalError("iteration 1: synthetic failure"), cli.EXIT_NUMERIC,
+     "NumericalError"),
+])
+def test_failure_inside_a_trial_writes_nothing(monkeypatch, tmp_path, capsys,
+                                               exc, code, name):
+    raise_in_trial(monkeypatch, exc)
+    out = tmp_path / "o"
+    assert cli.main(["cluster", "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--latent-dim", "3", "--trials", "2",
+                     "--out", str(out)]) == code
+    assert only_error_record(capsys)["error"] == name
+    assert not out.exists()
+
+
+def test_sweep_cell_out_of_memory_fails_only_that_cell(monkeypatch, tmp_path,
+                                                        capsys):
+    raise_in_trial(monkeypatch, array_memory_error(), latent_dim=3)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--lambda-grid", "1", "--k-grid", "2",
+                     "3", "--trials", "1", "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["ok", "failed"]
+    assert rows[1]["error"].startswith("MemoryError")
+    assert rows[1]["report"] == ""
+    assert sorted(p.name for p in out.iterdir()) == ["cell_lam1_k2",
+                                                     "summary.csv"]
+
+
 def test_overflow_during_setup_is_numerical_exit(tmp_path, capsys):
     # finite entries near the float64 limit overflow the PCA mean; the
     # NonFiniteError is also a ValueError but must exit as numerical
@@ -704,7 +768,9 @@ def test_latent_dim_above_d_refused_before_output_and_trials(monkeypatch,
                                       k_grid=(40,)))
     assert [c["status"] for c in cells] == ["failed"]
     assert "latent_dim=40" in cells[0]["error"]
-    assert not Path(cells[0]["report"]).parent.exists()
+    assert "report" not in cells[0]
+    # the failed cell (cell_lam0.001_k40 for this draw) left no directory
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["summary.csv"]
 
 
 @pytest.mark.parametrize("command", ["cluster", "sweep"])

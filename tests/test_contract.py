@@ -5,6 +5,7 @@ the module is deterministic and takes a few seconds.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -65,7 +66,7 @@ def synthetic_specs(draw):
 def assert_exit_contract(argv, out, artifact):
     """Run the CLI on argv and check its exit-class contract: exit 0 leaves
     an empty stderr and `artifact` in `out`; any other exit writes exactly
-    one JSON error record, and exits 1 and 2 leave no `out`."""
+    one JSON error record and leaves no `out`. Returns the exit code."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
@@ -77,8 +78,8 @@ def assert_exit_contract(argv, out, artifact):
     else:
         [line] = stderr.getvalue().splitlines()
         assert set(json.loads(line)) == {"error", "message"}
-        if code in (cli.EXIT_CONFIG, cli.EXIT_DATA):
-            assert not out.exists()
+        assert not out.exists()
+    return code
 
 
 # the example's latent dim 3 exceeds its data's rank of 1, so every
@@ -95,6 +96,36 @@ def test_cluster_reports_through_its_artifacts_or_one_error_record(
             ["cluster", "--synthetic", json.dumps(spec), "--clusters",
              str(clusters), "--latent-dim", str(latent_dim), "--trials", "1",
              "--out", str(out)], out, "report.json")
+
+
+# k runs to 8, above d for some specs, so that some cells fail; the
+# example has one cell that runs and one whose k = 8 exceeds d = 3
+@settings(CONTRACT, max_examples=30)
+@given(synthetic_specs(), st.integers(2, 4),
+       st.lists(st.sampled_from(["0", "0.1", "1", "10"]), min_size=1,
+                max_size=2, unique=True),
+       st.lists(st.integers(1, 8).map(str), min_size=1, max_size=2,
+                unique=True))
+@example({"clusters": 2, "per_cluster": 3, "views": 1, "latent_dim": 1,
+          "view_dims": [3]}, 2, ["1"], ["1", "8"])
+def test_sweep_writes_a_directory_and_a_report_for_ok_cells_only(
+        spec, clusters, lambda_grid, k_grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = assert_exit_contract(
+            ["sweep", "--synthetic", json.dumps(spec), "--clusters",
+             str(clusters), "--lambda-grid", *lambda_grid, "--k-grid",
+             *k_grid, "--trials", "1", "--out", str(out)], out, "summary.csv")
+        if code != cli.EXIT_OK:
+            return
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(lambda_grid) * len(k_grid)
+        ok = [Path(r["report"]) for r in rows if r["status"] == "ok"]
+        assert all(report.exists() for report in ok)
+        assert all(r["report"] == "" for r in rows if r["status"] == "failed")
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [report.parent.name for report in ok] + ["summary.csv"])
 
 
 # Any JSON value. Its integers stay in [-3, 3], so that a count drawn from

@@ -14,6 +14,7 @@ from elmsc.dataset import (
     gen_synthetic,
     load_dataset,
     load_labels,
+    save_dataset,
 )
 from elmsc.numerics import pca_reduce
 
@@ -308,6 +309,15 @@ def test_load_dataset_labels(tmp_path):
     labels = rng.integers(0, 3, size=30)
     ds = load_dataset(write_manifest(tmp_path, views, labels=labels))
     assert np.array_equal(ds.labels, labels)
+
+
+def test_save_dataset_round_trips_an_unlabeled_dataset(tmp_path):
+    rng = np.random.default_rng(12)
+    views = [rng.standard_normal((4, 9)), rng.standard_normal((3, 9))]
+    ds = load_dataset(save_dataset(MultiViewDataset(views=views), tmp_path))
+    for got, want in zip(ds.views, views):
+        assert np.array_equal(got, want)
+    assert ds.labels is None
 
 
 def test_load_dataset_missing_file(tmp_path):

@@ -20,6 +20,7 @@ from conftest import fix_iterations
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CLUSTER = ROOT / "bench" / "traced_cluster.py"
+SETUP_PROBE = ROOT / "bench" / "setup_probe.py"
 BENCH_RUN = ROOT / "bench" / "run.py"
 README = ROOT / "README.md"
 
@@ -32,11 +33,15 @@ PER_ITERATION = {
 }
 
 
+def load_bench_script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_traced():
-    spec = importlib.util.spec_from_file_location("traced_cluster", TRACED_CLUSTER)
-    traced = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced)
-    return traced
+    return load_bench_script(TRACED_CLUSTER)
 
 
 def test_traced_benchmark_attributes_resolve():
@@ -175,6 +180,22 @@ def test_cli_reads_every_benchmark_dataset_spec():
         for a, b in zip(via_cli.views, direct.views):
             assert np.array_equal(a, b), name
         assert np.array_equal(via_cli.labels, direct.labels), name
+
+
+def test_setup_probe_builds_the_runs_augmented_matrix(tmp_path, capsys):
+    # the benchmark's setup_s times this probe, which reaches into cli and
+    # dataset by attribute name; a rename there must fail here
+    probe = load_bench_script(SETUP_PROBE)
+    spec = {"clusters": 2, "per_cluster": 6, "views": 2, "latent_dim": 2,
+            "view_dims": [5, 4], "noise_sigma": 0.1, "seed": 0}
+    manifest = str(cli.cmd_synth(spec, tmp_path / "data"))
+    for source, value in (("synthetic", spec), ("manifest", manifest)):
+        text = json.dumps(value) if source == "synthetic" else value
+        assert probe.main(["2", f"--{source}", text]) == 0, source
+        cfg = cli.RunConfig(out="-", clusters=2, **{source: value})
+        xa, _ = cli._prepare(cfg)
+        shape = capsys.readouterr().out.split()
+        assert shape == [str(n) for n in xa.xa.shape], source
 
 
 def test_every_benchmark_workload_holds_its_acc_floor(tmp_path):
