@@ -15,6 +15,7 @@ import concurrent.futures
 import csv
 import inspect
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -165,7 +166,8 @@ def _run_trials(cfg, xa, labels):
         (xa, replace(scfg, seed=scfg.seed + t), cfg.clusters, t, labels)
         for t in range(cfg.trials)
     ]
-    workers = min(cfg.workers, cfg.trials)  # a pool starts all its workers
+    # a pool starts all its workers at once, each with its own copy of xa
+    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(_trial_job, payloads))
@@ -254,6 +256,10 @@ def cmd_eval(predicted_path, truth_path):
     """Score a predicted label file against a ground-truth one."""
     predicted = ds_mod.load_labels(predicted_path)
     truth = ds_mod.load_labels(truth_path)
+    if len(predicted) != len(truth):
+        raise DatasetError(
+            f"label file {predicted_path} has {len(predicted)} entries, "
+            f"truth file {truth_path} has {len(truth)}")
     pair = metrics_mod.LabelPair(predicted=predicted, truth=truth)
     values = metrics_mod.all_metrics(pair)
     for name, val in zip(metrics_mod.METRIC_NAMES, values):

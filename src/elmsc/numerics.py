@@ -231,7 +231,8 @@ def gram_cg_solve(w, b, x0):
     precision (a float64 row block is cast to a float32 W's dtype first,
     so no float64 copy of W is made); the iterate, the residuals and the
     step lengths stay in b's. The run stops once every row's residual is
-    at most cg_rtol(W's dtype) times its row of b; CG_MAX_ITER caps the
+    at most cg_rtol(W's dtype) times its row of b, tested only after the
+    first step, so x0 is never returned without one; CG_MAX_ITER caps the
     iterations. x0 is the starting point. Returns (X, iterations), or
     (None, iterations) when some row is still above its tolerance at the
     cap, or the iterate overflows, so that the caller can fall back to a
@@ -252,7 +253,7 @@ def gram_cg_solve(w, b, x0):
     for it in range(CG_MAX_ITER + 1):
         if not np.isfinite(rr).all():
             return None, it
-        if (rr <= tol).all():
+        if it and (rr <= tol).all():
             return x, it
         if it == CG_MAX_ITER:
             return None, it

@@ -4,8 +4,8 @@ The iteration cycles five subproblems (projection P, latent H, representation
 Z, error E, auxiliary J), then performs dual ascent on three multipliers with
 a penalty that grows from MU0 by a factor RHO per iteration up to MU_MAX.
 P comes from an orthogonal Procrustes step. H solves a Sylvester system, SPD
-since P is orthonormal: by conjugate gradients on its k rows when k is small
-against vn, else by one Cholesky factorization of the vn x vn Gram. Z comes
+since P is orthonormal: by conjugate gradients on its k rows, and by one
+Cholesky factorization of the vn x vn Gram only when CG gives up. Z comes
 from a k x k LU solve through the push-through identity (Z's system
 I + H.T H is the identity plus a rank-k term), E from the columnwise l2,1
 proximal map, and J from block-diagonal-preserving shrinkage.
@@ -263,14 +263,6 @@ def update_p(state, xa, target=None):
     return orthogonal_procrustes(state.h @ target.T).T
 
 
-# Warm-started CG iterations the H step budgets for. Each costs one
-# 4k vn^2-flop product, the Gram plus factorization 1.33 vn^3 flops, so CG
-# is taken while (CG_ITERS + 2) * 4k < 1.33 vn: k < vn / 36, e.g. k <= 16 at
-# vn = 600. A CG product runs at a lower flop rate than the factorization,
-# so the budget stands for fewer products than it names.
-CG_ITERS = 10
-
-
 def update_h(state, xa, target=None, out=None):
     """Latent step: solve the Sylvester system A H + H B = C.
 
@@ -279,12 +271,11 @@ def update_h(state, xa, target=None, out=None):
     where T = X + Y1/mu - E1 is update_p's target; `target` takes T when the
     caller already has it, and then E1 is not read (in `run` E1's buffer
     holds T by then). When P is orthonormal, as update_p always returns
-    it, A is I and the system reduces to H (I + W W.T) = C, SPD. Its
-    solver is chosen from the shapes alone: for k small against vn,
+    it, A is I and the system reduces to H (I + W W.T) = C, SPD, solved by
     conjugate gradients on the k rows (`gram_cg_solve`), warm-started from
-    the current H and needing only products with W; otherwise, or when CG
-    gives up (at its iteration cap, or on overflow), the vn x vn Gram
-    W W.T and one Cholesky factorization.
+    the current H and needing only products with W. Only when CG gives up
+    (at its iteration cap, or on overflow) are the vn x vn Gram W W.T and
+    one Cholesky factorization formed.
     The general Sylvester branch is the path for P that is not orthonormal,
     which `run` never reaches; it keeps the step a solver of the
     H-subproblem for any P.
@@ -313,7 +304,7 @@ def update_h(state, xa, target=None, out=None):
     ptp = p.T @ p
     orthonormal = np.abs(ptp - np.eye(k)).max() <= 1e-8
     h = None
-    if orthonormal and (CG_ITERS + 2) * 4 * k < 1.33 * vn:
+    if orthonormal:
         h, _ = gram_cg_solve(w, c, state.h)
     if h is None:
         # matmul on w and its own transpose view runs as a syrk

@@ -181,9 +181,9 @@ def test_cluster_workers_match_serial(tmp_path):
         json.dumps(strip_wall_clock(parallel), sort_keys=True)
 
 
-def test_worker_pool_is_no_larger_than_the_trial_count(monkeypatch, tmp_path):
-    # a process pool starts all of its workers at the first submit, so a
-    # pool sized by --workers alone would fork processes with no trial
+def recording_pool(monkeypatch, cpus):
+    """Replace the trial pool with one that runs its jobs in this process
+    and records its size, on a host of `cpus` CPUs; returns the sizes."""
     sizes = []
 
     class RecordingPool:
@@ -201,9 +201,28 @@ def test_worker_pool_is_no_larger_than_the_trial_count(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+def test_worker_pool_is_no_larger_than_the_trial_count(monkeypatch, tmp_path):
+    # a process pool starts all of its workers at the first submit, so a
+    # pool sized by --workers alone would fork processes with no trial
+    sizes = recording_pool(monkeypatch, cpus=64)
     cli.cmd_cluster(tiny_config(tmp_path / "a", trials=2, workers=64))
     cli.cmd_cluster(tiny_config(tmp_path / "b", trials=1, workers=64))
     assert sizes == [2]
+
+
+def test_worker_pool_is_no_larger_than_the_cpu_count(monkeypatch, tmp_path):
+    # each worker unpickles its own copy of the augmented matrix, so more
+    # workers than CPUs cost memory and run no trial sooner; an unknown
+    # CPU count runs the trials in this process
+    for cpus, trials, expect in ((3, 8, [3]), (1, 8, []), (None, 8, [])):
+        sizes = recording_pool(monkeypatch, cpus)
+        cli.cmd_cluster(tiny_config(tmp_path / f"{cpus}", trials=trials,
+                                    workers=64))
+        assert sizes == expect, cpus
 
 
 def test_solver_config_has_no_field_the_cli_leaves_unset(monkeypatch,
@@ -538,11 +557,17 @@ def test_eval_identical_files(tmp_path, capsys):
 
 
 def test_eval_length_mismatch(tmp_path, capsys):
+    # label files of different lengths are a data error, as a manifest's
+    # label count against its n is
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
     np.savetxt(a, [0, 1], fmt="%d")
     np.savetxt(b, [0, 1, 1], fmt="%d")
-    assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_CONFIG
+    assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_DATA
+    record = only_error_record(capsys)
+    assert record["error"] == "DatasetError"
+    assert (f"label file {a} has 2 entries, truth file {b} has 3"
+            in record["message"])
 
 
 def test_eval_empty_label_file_is_data_error(tmp_path, capsys):

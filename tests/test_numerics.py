@@ -510,6 +510,21 @@ def test_gram_cg_solve_identity_w_converges_in_one_iteration():
     assert_allclose(x, b / 2, rtol=0, atol=1e-14)
 
 
+def test_gram_cg_solve_steps_once_from_a_start_within_tolerance():
+    # a float32 W's stop is 1.19e-5 relative; a start that already meets it
+    # still takes one step, and stays within the stop
+    rng = np.random.default_rng(36)
+    w = np.eye(30) - rng.standard_normal((30, 30)) / 10
+    gram = np.eye(30) + w @ w.T
+    x_true = rng.standard_normal((4, 30))
+    b = x_true @ gram
+    x0 = x_true + 1e-7 * rng.standard_normal((4, 30))
+    x, its = gram_cg_solve(w.astype(np.float32), b, x0)
+    assert its == 1 and not np.array_equal(x, x0)
+    assert np.all(np.linalg.norm(x @ gram - b, axis=1)
+                  <= numerics.cg_rtol(np.float32) * np.linalg.norm(b, axis=1))
+
+
 def test_gram_cg_solve_exactly_solved_row_stays_put():
     # a row with zero residual has p.q = 0; it must not turn into NaN
     rng = np.random.default_rng(33)

@@ -323,7 +323,7 @@ def dense_k8_aug(scale=1.0):
 @pytest.mark.parametrize("k", [8, 10])
 @pytest.mark.parametrize("seed", [7, 8])
 def test_run_cg_h_step_matches_dense_reference(monkeypatch, k, seed):
-    # at vn = 600 the cost rule sends k <= 16 to CG; at k = 10 a relative
+    # every H step here is solved by CG; at k = 10 a relative
     # stop of 1e-10 instead of 1e-12 drifts 2.7e-9 in objective here; the
     # check is of algebraic exactness, so it runs wholly in float64
     monkeypatch.setattr(solver, "VN2_DTYPE", np.float64)
@@ -700,13 +700,15 @@ def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
 
 def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
     # beside X a solve holds two d x vn arrays, Y1 and the stacked E, and at
-    # most Z, J, Y3, the spare, B and B's Cholesky copy among vn x vn ones
+    # most Z, J, Y3, the spare, B and B's Cholesky copy among vn x vn ones;
+    # a CG cap of 0 makes every H step the dense one, which forms B
     ds = gen_synthetic(clusters=3, per_cluster=20, views=2, latent_dim=4,
                        view_dims=[300, 240], noise_sigma=0.1, seed=1)
     xa = build_augmented(ds, default_pca_components(3, ds))
-    d, vn = xa.xa.shape  # d = 540 = 4.5 vn; k = 4 takes the dense H step
+    d, vn = xa.xa.shape  # d = 540 = 4.5 vn
     cfg = ElmscConfig(lam=0.5, latent_dim=4, seed=2)
     fix_iterations(monkeypatch, 3)
+    monkeypatch.setattr(numerics, "CG_MAX_ITER", 0)
     out, peak = warm_solve_peak(xa, cfg)
     assert len(out.trace) == 3
     # while T and X - P H were fresh d x vn arrays and the KKT check formed
@@ -743,12 +745,16 @@ def ten_cluster_aug():
     return build_augmented(ds, default_pca_components(10, ds))
 
 
-@pytest.mark.parametrize("case", ["dense-k8", "ten-cluster-k100-lam1000"])
+@pytest.mark.parametrize("case", ["dense-k8", "ten-cluster-k100-lam1000",
+                                  "ten-cluster-k100-lam1000-dense"])
 def test_run_float32_iterates_match_a_float64_solve(monkeypatch, case):
-    # the dense-k8 solve takes the CG H step, the k = 100 one the dense step
+    # every H step is solved by CG, except in the "-dense" case, where a CG
+    # cap of 0 makes it the dense fallback's Cholesky
     if case == "dense-k8":
         xa, cfg, c = dense_k8_aug(), ElmscConfig(lam=1.0, latent_dim=8), 5
     else:
+        if case.endswith("-dense"):
+            monkeypatch.setattr(numerics, "CG_MAX_ITER", 0)
         xa, cfg, c = ten_cluster_aug(), ElmscConfig(lam=1000.0,
                                                     latent_dim=100), 10
     outs, labels = [], []
@@ -768,6 +774,19 @@ def test_run_float32_iterates_match_a_float64_solve(monkeypatch, case):
     assert max(single.kkt.as_tuple()) <= 1e-2
 
 
+def test_run_cg_h_step_solves_the_paper_grids_largest_k(monkeypatch):
+    # k = 200, lam = 1000 is the slowest cell of the paper's lam x k grid;
+    # warm-started CG solves every H step there, so no run factors the
+    # vn x vn Gram
+    cg_runs = counting_cg(monkeypatch)
+    spd_calls = []
+    monkeypatch.setattr(solver, "spd_solve",
+                        lambda a, b: spd_calls.append(1) or spd_solve(a, b))
+    out = run(ten_cluster_aug(), ElmscConfig(lam=1000.0, latent_dim=200))
+    assert len(cg_runs) == len(out.trace) and None not in cg_runs
+    assert not spd_calls
+
+
 def test_run_divergence_is_numerical_error_naming_iteration():
     # an input this large overflows H H.T in the first Z step; the finiteness
     # guard must surface as a NumericalError (CLI exit 3), not a ValueError
@@ -781,7 +800,7 @@ def test_run_divergence_is_numerical_error_naming_iteration():
 
 
 def test_run_divergence_on_the_cg_h_step_is_numerical_error(monkeypatch):
-    # the same guard where the cost rule takes the CG H step: CG gives up
+    # the same guard on dense-k8's shape: CG gives up
     # on the overflowing norms, and the dense path and Z step keep the
     # NaN/Inf check
     cg_runs = counting_cg(monkeypatch)

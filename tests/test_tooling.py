@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import elmsc
+import elmsc.numerics as numerics
 import elmsc.solver as solver
 from elmsc import cli
 from elmsc.dataset import build_augmented, gen_synthetic
@@ -28,7 +29,7 @@ README = ROOT / "README.md"
 PER_ITERATION = {
     "update_p": 1, "update_h": 1, "update_z": 1, "update_e": 1,
     "update_j": 1, "residuals": 1, "objective": 1, "update_multipliers": 1,
-    "spd_solve": 1, "solve_sylvester": 0, "orthogonal_procrustes": 1,
+    "spd_solve": 0, "solve_sylvester": 0, "orthogonal_procrustes": 1,
     "col_l21_prox": 1, "soft_threshold": 1,
 }
 
@@ -107,22 +108,24 @@ def traced_solve(monkeypatch, traced, per_cluster, latent_dim, max_iter):
 def test_traced_benchmark_hooks_record_every_solver_layer(monkeypatch):
     # runs the traced benchmark's wrappers and hooks as `bench/run.py
     # --trace 1` does; a hook with a fixed signature (as spd_solve's is)
-    # breaks when `run` passes it a new keyword
+    # breaks when `run` passes it a new keyword. A CG cap of 0 makes every
+    # H step fall back to the dense one, so that the hook runs
     traced = load_traced()
     names = {attr: name for module, attr, name in traced.TRACED
              if module is solver}
+    monkeypatch.setattr(numerics, "CG_MAX_ITER", 0)
     tracer = traced_solve(monkeypatch, traced, per_cluster=6, latent_dim=3,
                           max_iter=2)
     calls = tracer.summary()["calls"]
     assert calls["solver.run"] == calls["solver.kkt_residuals"] == 1
-    for attr, n in PER_ITERATION.items():
+    for attr, n in dict(PER_ITERATION, spd_solve=1).items():
         assert calls[names[attr]] == 2 * n, attr
     assert tracer.spd_gflop > 0
 
 
 def test_traced_benchmark_hooks_on_the_cg_h_step(monkeypatch):
-    # vn = 80 > 36 k: the cost rule takes the CG H step, which calls no
-    # spd_solve, and the Z step's k x k solve does not either
+    # the H step solves by CG, which calls no spd_solve unless it gives
+    # up, and the Z step's k x k solve does not either
     traced = load_traced()
     tracer = traced_solve(monkeypatch, traced, per_cluster=20, latent_dim=2,
                           max_iter=3)
@@ -198,21 +201,29 @@ def test_setup_probe_builds_the_runs_augmented_matrix(tmp_path, capsys):
         assert shape == [str(n) for n in xa.xa.shape], source
 
 
+def workload_cluster_argv(tmp_path, name, workload):
+    """The benchmark's `cluster` command for `workload`, one trial, its
+    output under tmp_path / name / "out"; a manifest workload's data is
+    written first with `synth`."""
+    spec = json.dumps(workload["data"], sort_keys=True)
+    inputs = ["--synthetic", spec]
+    if workload["manifest"]:
+        data = tmp_path / name / "data"
+        assert cli.main(["synth", "--spec", spec, "--out", str(data)]) == 0
+        inputs = ["--manifest", str(data / "manifest.json")]
+    return ["cluster", *inputs, "--clusters",
+            str(workload["data"]["clusters"]), *workload["flags"],
+            "--trials", "1", "--seed", "1",
+            "--out", str(tmp_path / name / "out")]
+
+
 def test_every_benchmark_workload_holds_its_acc_floor(tmp_path):
     # the benchmark counts a trial that does not converge or falls below
     # its workload's acc_floor as failed; a schedule or clustering change
     # that breaks the floor must fail here before it reaches the benchmark
     for name, workload in bench_workloads().items():
-        spec = json.dumps(workload["data"], sort_keys=True)
-        inputs = ["--synthetic", spec]
-        if workload["manifest"]:
-            data = tmp_path / name / "data"
-            assert cli.main(["synth", "--spec", spec, "--out", str(data)]) == 0
-            inputs = ["--manifest", str(data / "manifest.json")]
         out = tmp_path / name / "out"
-        code = cli.main(["cluster", *inputs, "--clusters",
-                         str(workload["data"]["clusters"]), *workload["flags"],
-                         "--trials", "1", "--seed", "1", "--out", str(out)])
+        code = cli.main(workload_cluster_argv(tmp_path, name, workload))
         assert code == cli.EXIT_OK, name
         [trial] = json.loads((out / "report.json").read_text())["trials"]
         assert trial["converged"], name
@@ -233,7 +244,8 @@ def run_child(child):
 def test_cli_cluster_loads_scipy_only_for_the_dense_h_step(tmp_path):
     # importing scipy.linalg costs about a quarter of a small cluster
     # process; only the vn x vn Cholesky of the dense H step imports it.
-    # vn = 80 > 36 k takes the CG H step, vn = 24 < 36 k the dense one
+    # The first run takes the CG H step; a CG cap of 0 then makes every H
+    # step of the second fall back to the dense one
     cg = {"clusters": 2, "per_cluster": 20, "views": 2, "latent_dim": 3,
           "view_dims": [6, 5], "noise_sigma": 0.1, "seed": 0}
     runs = [
@@ -243,15 +255,32 @@ def test_cli_cluster_loads_scipy_only_for_the_dense_h_step(tmp_path):
     ]
     child = (
         "import sys\n"
-        "from elmsc import cli\n"
+        "from elmsc import cli, numerics\n"
         "def scipy():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(scipy())\n"
         f"for argv in {runs!r}:\n"
         "    print(cli.main(argv), bool(scipy()), 'scipy.linalg' in scipy())\n"
+        "    numerics.CG_MAX_ITER = 0\n"
     )
     out = run_child(child).stdout.splitlines()
     assert out[-3:] == ["[]", "0 False False", "0 True True"], out
+
+
+def test_every_benchmark_workload_runs_without_scipy(tmp_path):
+    # importing scipy.linalg adds about 22 MiB and 0.1 s to a cluster
+    # process; CG solves every H step of both benchmark workloads, so
+    # neither imports it
+    for name, workload in bench_workloads().items():
+        argv = workload_cluster_argv(tmp_path, name, workload)
+        child = (
+            "import sys\n"
+            "from elmsc import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        )
+        out = run_child(child).stdout.splitlines()
+        assert out[-1] == "0 []", (name, out)
 
 
 def test_cli_eval_does_not_load_scipy_optimize(tmp_path):
