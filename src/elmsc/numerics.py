@@ -226,24 +226,24 @@ def gram_cg_solve(w, b, x0):
     """Solve X (I + W W.T) = b for X, one conjugate-gradient run per row.
 
     The k rows run together: each iteration applies X -> X + (X W) W.T to
-    all of them at once, two k x vn by vn x vn products, while the step
-    lengths alpha and beta are per-row scalars. The products run in W's
-    precision (a float64 row block is cast to a float32 W's dtype first,
-    so no float64 copy of W is made); the iterate, the residuals and the
-    step lengths stay in b's. The run stops once every row's residual is
-    at most cg_rtol(W's dtype) times its row of b, tested only after the
+    all of them at once, two k x vn by vn x vn products (the second formed
+    as (W (X W).T).T, since OpenBLAS runs faster with the thin block on the
+    right), with per-row step lengths. The products run in W's precision (a
+    float64 row block is cast to a float32 W's dtype first, so no float64
+    copy of W is made); the iterate, the residuals and the step lengths
+    stay in b's. The run starts at x0 and stops once every row's residual
+    is at most cg_rtol(W's dtype) times its row of b, tested only after the
     first step, so x0 is never returned without one; CG_MAX_ITER caps the
-    iterations. x0 is the starting point. Returns (X, iterations), or
-    (None, iterations) when some row is still above its tolerance at the
-    cap, or the iterate overflows, so that the caller can fall back to a
-    factorization. W itself is not checked for NaN/Inf: it can only make
-    the iterate non-finite.
+    iterations. Returns (X, iterations), or (None, iterations) when some
+    row is still above its tolerance at the cap, or the iterate overflows,
+    so that the caller can fall back to a factorization. W is not checked
+    for NaN/Inf: it can only make the iterate non-finite.
     """
     b = _as_matrix(b, "b")
     x = np.array(_as_matrix(x0, "x0"), dtype=b.dtype)
 
     def ww(m):  # m W W.T
-        return (m.astype(w.dtype, copy=False) @ w) @ w.T
+        return (w @ (m.astype(w.dtype, copy=False) @ w).T).T
 
     r = b - x
     r -= ww(x)

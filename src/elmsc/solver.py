@@ -275,10 +275,9 @@ def update_h(state, xa, target=None, out=None):
     conjugate gradients on the k rows (`gram_cg_solve`), warm-started from
     the current H and needing only products with W. Only when CG gives up
     (at its iteration cap, or on overflow) are the vn x vn Gram W W.T and
-    one Cholesky factorization formed.
-    The general Sylvester branch is the path for P that is not orthonormal,
-    which `run` never reaches; it keeps the step a solver of the
-    H-subproblem for any P.
+    one Cholesky factorization formed. The general Sylvester branch, for P
+    that is not orthonormal, is never reached by `run`; it keeps the step a
+    solver of the H-subproblem for any P.
 
     `out` takes two vn x vn buffers (for W, for B) to write into instead of
     allocating them; the CG path uses only the first. The W buffer may be
@@ -288,8 +287,9 @@ def update_h(state, xa, target=None, out=None):
 
     W and B take Z's dtype, and C, H and the CG iterate H's, float64. A
     k x vn operand is cast to Z's dtype before its product with W, so that
-    W is never copied into float64. The dense step factors B in its own
-    precision and solves with the factor in C's, since a float32 solve
+    W is never copied into float64; D W.T is formed as (W D.T).T, the
+    faster order, as in `gram_cg_solve`. The dense step factors B in its
+    own precision and solves with the factor in C's, since a float32 solve
     moves the final objective an order of magnitude more.
     """
     p, z = state.p, state.z
@@ -300,7 +300,7 @@ def update_h(state, xa, target=None, out=None):
     w.flat[diag] += 1.0
     c = p.T @ (_latent_target(state, xa) if target is None else target)
     d = (state.y2 / state.mu - state.e2).astype(w.dtype, copy=False)
-    c = c - d @ w.T
+    c = c - (w @ d.T).T
     ptp = p.T @ p
     orthonormal = np.abs(ptp - np.eye(k)).max() <= 1e-8
     h = None
@@ -546,16 +546,19 @@ def kkt_residuals(state, xa, lam, v, n, primal=None):
             sq += np.einsum("ij,ij->j", gap, gap)
     e_gap = float((np.sqrt(sq) - idle).max(initial=0.0))
 
-    # w is lam on the off-diagonal blocks and 0 on the diagonal ones, where
-    # the gap is |Y3| itself; on inactive entries sgn J = 0 and the gap is
-    # |Y3| - lam
-    w = lam * (1.0 - np.eye(v))[:, None, :, None]
-    jb = state.j.reshape(v, n, v, n)
-    gap = np.sign(jb)
-    gap *= w
-    gap += state.y3.reshape(v, n, v, n)
-    np.abs(gap, out=gap)
-    np.subtract(gap, w, out=gap, where=jb == 0)  # no vn x vn float temporary
-    j_gap = float(gap.max(initial=0.0))
+    # block by block in Y3's dtype: on a diagonal block the gap is |Y3|
+    # itself; elsewhere lam (1 - |sgn J|) is 0 on active entries and lam on
+    # inactive ones, where sgn J = 0 and the gap is |Y3| - lam
+    lam = state.y3.dtype.type(lam)
+    j_gap = 0.0
+    for a, b in np.ndindex(v, v):
+        blk = np.s_[a * n:(a + 1) * n, b * n:(b + 1) * n]
+        if a == b:
+            gap = np.abs(state.y3[blk])
+        else:
+            sgn = np.sign(state.j[blk])
+            gap = np.abs(state.y3[blk] + lam * sgn)
+            gap -= lam * (1 - np.abs(sgn))
+        j_gap = max(j_gap, float(gap.max(initial=0.0)))
 
     return KktReport(recon=p1, selfrep=p2, aux=p3, e_gap=e_gap, j_gap=j_gap)

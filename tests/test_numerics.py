@@ -502,6 +502,24 @@ def test_gram_cg_solve_with_float32_w_stops_at_its_reach():
                   <= 1e-4 * np.linalg.norm(b, axis=1))
 
 
+@pytest.mark.parametrize("vn, k", [(60, 1), (600, 8)])
+def test_gram_cg_solve_float32_w_edge_shapes_match_cholesky(vn, k):
+    # the product with W.T runs as (W Y.T).T: at k = 1 that is W times a
+    # vector, and vn = 600, k = 8 is the dense-k8 bench workload's shape;
+    # cond(I + W W.T) is about 2, as on the H step's systems
+    rng = np.random.default_rng(37)
+    w = (np.eye(vn) - rng.standard_normal((vn, vn)) / (4 * np.sqrt(vn))
+         ).astype(np.float32)
+    b = rng.standard_normal((k, vn))
+    x, _ = gram_cg_solve(w, b, np.zeros((k, vn)))
+    assert x.dtype == np.float64 and x.shape == b.shape
+    w64 = w.astype(np.float64)
+    ref = spd_solve(np.eye(vn) + w64 @ w64.T, b.T).T
+    assert np.all(np.linalg.norm(x - ref, axis=1)
+                  <= numerics.cg_rtol(np.float32)
+                  * np.linalg.norm(ref, axis=1))
+
+
 def test_gram_cg_solve_identity_w_converges_in_one_iteration():
     rng = np.random.default_rng(32)
     b = rng.standard_normal((4, 30))
