@@ -133,18 +133,16 @@ def orthogonal_procrustes(k):
     return (u @ wt) @ q.T
 
 
-def soft_threshold(m, eta, out=None):
+def soft_threshold(m, eta):
     """Elementwise shrinkage (|x| - eta)_+ * sgn(x).
 
     Computed as x - clip(x, -eta, eta), which gives the same bits on every
-    entry beyond the threshold and zero on the others, with one temporary.
-    The result goes to `out` when given, which may hold anything but must
-    not be m itself: the clip is written there before m is read again.
+    entry beyond the threshold and zero on the others, in one new array.
     """
     if eta < 0:
         raise ValueError(f"threshold must be nonnegative, got {eta}")
     m = _float_array(m)
-    out = np.clip(m, -eta, eta, out=out)
+    out = np.clip(m, -eta, eta)
     return np.subtract(m, out, out=out)
 
 
@@ -222,16 +220,16 @@ def _row_dots(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def gram_cg_solve(w, b, x0):
+def gram_cg_solve(w, b, x0, x0ww=None):
     """Solve X (I + W W.T) = b for X, one conjugate-gradient run per row.
 
     The k rows run together: each iteration applies X -> X + (X W) W.T to
-    all of them at once, two k x vn by vn x vn products (the second formed
-    as (W (X W).T).T, since OpenBLAS runs faster with the thin block on the
-    right), with per-row step lengths. The products run in W's precision (a
-    float64 row block is cast to a float32 W's dtype first, so no float64
-    copy of W is made); the iterate, the residuals and the step lengths
-    stay in b's. The run starts at x0 and stops once every row's residual
+    all of them at once, two k x vn by vn x vn products (the second as
+    (W (X W).T).T, which OpenBLAS runs faster), with per-row step lengths.
+    The products run in W's precision (a float64 row block is cast to W's
+    dtype, so W is never copied into float64); the iterate, the residuals
+    and the step lengths stay in b's. The run starts at x0 (`x0ww` takes
+    x0 W W.T when the caller has it) and stops once every row's residual
     is at most cg_rtol(W's dtype) times its row of b, tested only after the
     first step, so x0 is never returned without one; CG_MAX_ITER caps the
     iterations. Returns (X, iterations), or (None, iterations) when some
@@ -246,7 +244,7 @@ def gram_cg_solve(w, b, x0):
         return (w @ (m.astype(w.dtype, copy=False) @ w).T).T
 
     r = b - x
-    r -= ww(x)
+    r -= ww(x) if x0ww is None else x0ww
     p = r.copy()
     rr = _row_dots(r, r)
     tol = cg_rtol(w.dtype)**2 * _row_dots(b, b)

@@ -10,11 +10,11 @@ from a k x k LU solve through the push-through identity (Z's system
 I + H.T H is the identity plus a rank-k term), E from the columnwise l2,1
 proximal map, and J from block-diagonal-preserving shrinkage.
 
-The vn x vn iterates Z, J, Y3 and the one spare buffer are float32 (see
-`init_state`); every d x vn and k x vn array, and every product whose
-rounding reaches a multiplier or the stop test, is float64. Each step
-follows the dtypes of the arrays it is given, so a state built in float64
-runs wholly in float64.
+The vn x vn iterates Z, J and Y3 are float32 (see `init_state`), and `run`
+holds no other vn x vn array; every d x vn and k x vn array, and every
+product whose rounding reaches a multiplier or the stop test, is float64.
+Each step follows the dtypes of the arrays it is given, so a state built
+in float64 runs wholly in float64.
 """
 
 import csv
@@ -173,7 +173,7 @@ def check_latent_dim(k, d):
         )
 
 
-# dtype of the vn x vn iterates Z, J and Y3; `run`'s spare follows Z
+# dtype of the vn x vn iterates Z, J and Y3
 VN2_DTYPE = np.float32
 
 # the penalty schedule. RHO = 3 needs fewer iterations than 2 at the same
@@ -188,13 +188,13 @@ def init_state(xa, cfg):
     E1 and E2 are views of one stacked (d+k) x vn buffer, which `run` hands
     to each E step to refill in place.
 
-    Z, J and Y3 are VN2_DTYPE, float32: the vn x vn passes (the H step's
-    products with W = I - Z or its Gram and Cholesky, the Z step's product
-    H.T S^-1 G, the J shrinkage) are bound by memory bandwidth or
-    gemm speed, which float32 halves, and their rounding of 6e-8 relative
-    stays far below the 1e-3 stop. X, P, H, E1, E2, Y1 and Y2 are float64:
-    in float32, Y1/mu is lost against X, a large H breaks the dense H
-    step's Cholesky, and H - H Z misreads the self-representation gap.
+    Z, J and Y3, `run`'s only vn x vn buffers, are VN2_DTYPE, float32: the
+    vn x vn passes (the H step's products with W = I - Z or its Gram and
+    Cholesky, the Z step's H.T S^-1 G, the J pass) are bound by memory
+    bandwidth or gemm speed, which float32 halves, and their rounding of
+    6e-8 relative stays far below the 1e-3 stop. X, P, H, E1, E2, Y1 and Y2
+    are float64: in float32, Y1/mu is lost against X, a large H breaks the
+    dense H step's Cholesky, and H - H Z misreads the self-representation gap.
     """
     d, vn = xa.xa.shape
     k = cfg.latent_dim
@@ -219,10 +219,10 @@ def init_state(xa, cfg):
 PANEL_ROWS = 32
 
 
-def _row_panels(rows, cols, step=PANEL_ROWS):
-    """(rows slice, float64 scratch of its shape) per panel of `step` rows;
-    one buffer serves all."""
-    buf = np.empty((min(rows, step), cols))
+def _row_panels(rows, cols, step=PANEL_ROWS, dtype=np.float64):
+    """(rows slice, scratch of its shape) per panel of `step` rows; one
+    buffer serves all."""
+    buf = np.empty((min(rows, step), cols), dtype)
     for i in range(0, rows, step):
         yield slice(i, i + step), buf[:min(rows - i, step)]
 
@@ -263,53 +263,49 @@ def update_p(state, xa, target=None):
     return orthogonal_procrustes(state.h @ target.T).T
 
 
-def update_h(state, xa, target=None, out=None):
+def update_h(state, xa, target=None, hw=None, out=None):
     """Latent step: solve the Sylvester system A H + H B = C.
 
     The subproblem's normal equations, divided through by mu, have
-    A = P.T P, B = W W.T with W = I - Z, and C = P.T T - (Y2/mu - E2) W.T,
-    where T = X + Y1/mu - E1 is update_p's target; `target` takes T when the
-    caller already has it, and then E1 is not read (in `run` E1's buffer
-    holds T by then). When P is orthonormal, as update_p always returns
-    it, A is I and the system reduces to H (I + W W.T) = C, SPD, solved by
-    conjugate gradients on the k rows (`gram_cg_solve`), warm-started from
-    the current H and needing only products with W. Only when CG gives up
-    (at its iteration cap, or on overflow) are the vn x vn Gram W W.T and
-    one Cholesky factorization formed. The general Sylvester branch, for P
-    that is not orthonormal, is never reached by `run`; it keeps the step a
-    solver of the H-subproblem for any P.
+    A = P.T P, B = W W.T with W = I - Z, and C = P.T T - D W.T with
+    D = Y2/mu - E2 and update_p's target T = X + Y1/mu - E1; `target` takes
+    T when the caller already has it, and then E1 is not read (in `run` E1's
+    buffer holds T by then). With P orthonormal, as update_p returns it,
+    the system is H (I + W W.T) = C, SPD, solved by conjugate gradients on
+    the k rows (`gram_cg_solve`), warm-started from the current H; only when
+    CG gives up (at its cap, or on overflow) are the Gram W W.T and its
+    Cholesky factor formed. The general Sylvester branch, for any other P,
+    is never reached by `run`.
 
-    `out` takes two vn x vn buffers (for W, for B) to write into instead of
-    allocating them; the CG path uses only the first. The W buffer may be
-    Z's own: the step reads Z only entry by entry, to form W, and never
-    again after. Neither buffer may be any other state array, nor may the
-    two be the same.
+    `hw` takes H W = H - H Z when the caller already has it (`run` keeps
+    the last E step's); D W.T and the warm start's H W W.T come from one
+    product W [D; H W].T. `out` takes a vn x vn buffer for W, which may be
+    Z's own (Z is read only to form W), but no other state array.
 
-    W and B take Z's dtype, and C, H and the CG iterate H's, float64. A
-    k x vn operand is cast to Z's dtype before its product with W, so that
-    W is never copied into float64; D W.T is formed as (W D.T).T, the
-    faster order, as in `gram_cg_solve`. The dense step factors B in its
-    own precision and solves with the factor in C's, since a float32 solve
-    moves the final objective an order of magnitude more.
+    W and B take Z's dtype; C, H and the CG iterate are float64. k x vn
+    operands are cast to Z's dtype for their products with W, formed as
+    (W D.T).T, the faster order, so that W is never copied into float64.
+    The dense step factors B in its own precision and solves in C's, since
+    a float32 solve moves the final objective an order of magnitude more.
     """
     p, z = state.p, state.z
     k, vn = p.shape[1], z.shape[0]
     diag = np.s_[::vn + 1]
-    wbuf, bbuf = (None, None) if out is None else out
-    w = np.negative(z, out=wbuf)
+    hw = _latent_gap(state.h, z) if hw is None else hw
+    w = np.negative(z, out=out)
     w.flat[diag] += 1.0
     c = p.T @ (_latent_target(state, xa) if target is None else target)
-    d = (state.y2 / state.mu - state.e2).astype(w.dtype, copy=False)
-    c = c - (w @ d.T).T
+    dhw = np.concatenate([state.y2 / state.mu - state.e2, hw], dtype=w.dtype)
+    dhw = (w @ dhw.T).T
+    c -= dhw[:k]
     ptp = p.T @ p
     orthonormal = np.abs(ptp - np.eye(k)).max() <= 1e-8
     h = None
     if orthonormal:
-        h, _ = gram_cg_solve(w, c, state.h)
+        h, _ = gram_cg_solve(w, c, state.h, x0ww=dhw[k:])
     if h is None:
         # matmul on w and its own transpose view runs as a syrk
-        b = np.matmul(w, w.T, out=bbuf)
-        del w
+        b = np.matmul(w, w.T)
         if orthonormal:
             b.flat[diag] += 1.0
             h = spd_solve(b, c.T).T
@@ -318,7 +314,7 @@ def update_h(state, xa, target=None, out=None):
     return h.astype(state.h.dtype, copy=False)
 
 
-def update_z(state, out=None, tmp=None):
+def update_z(state, a=None, out=None):
     """Representation step: closed-form solve of the quadratic subproblem.
 
     The normal equations are (I + H.T H) Z = A + H.T (H + D) with
@@ -330,27 +326,25 @@ def update_z(state, out=None, tmp=None):
     Woodbury form R - H.T S^-1 H R with R = A + H.T (H + D) would cancel
     two of them into an O(1) result once H grows large.
 
-    The result goes to `out` when given, and `tmp` takes a second vn x vn
-    buffer for the term H.T S^-1 (...) added to it. `out` may be Z's own
-    buffer, whatever it holds, since the step does not read Z; neither may
-    be J or Y3, which it reads, nor may the two be the same.
+    `a` takes A when the caller has it (in `run`, J's buffer holds it), and
+    `out` the result's buffer, which may be Z's own but not A's.
 
-    Z takes Y3's dtype. H - H A is summed in float64 (`_latent_gap`), since
+    Z takes A's dtype. H - H A is summed in float64 (`_latent_gap`), since
     a float32 sum loses digits once |H| is large. S and its solve are float64,
     and H and S^-1 G are cast to Z's dtype for the product H.T S^-1 G, so
     that A is never copied into another precision.
     """
     h, mu = state.h, state.mu
-    a = np.divide(state.y3, mu, out=out)
-    a += state.j
-    hz = h.astype(a.dtype, copy=False)
+    if a is None:
+        a = state.j + state.y3 / mu
     g = _latent_gap(h, a)
     g += state.y2 / mu
     g -= state.e2
     s = _as_matrix(np.eye(h.shape[0]) + h @ h.T, "S")
     sg = np.linalg.solve(s, g).astype(a.dtype, copy=False)
-    a += np.matmul(hz.T, sg, out=tmp)
-    return a
+    z = np.matmul(h.astype(a.dtype, copy=False).T, sg, out=out)
+    z += a
+    return z
 
 
 def update_e(state, xa, out=None, ascent=False):
@@ -361,8 +355,8 @@ def update_e(state, xa, out=None, ascent=False):
     in `run`, T), and shrunk in place; E1 and E2 are returned as its views.
     Each row panel of G1 yields its rows of R1 = (G1 - Y1/mu) - E1 as it is
     shrunk; with `ascent` Y1 takes its dual step Y1 += mu R1 there, and the
-    step returns (E1, E2, max |R1|, R2 = H - H Z - E2). H - H Z is formed
-    in float64 from a float32 Z too (`_latent_gap`).
+    step returns (E1, E2, max |R1|, H - H Z), whence R2 = H - H Z - E2.
+    H - H Z is formed in float64 from a float32 Z too (`_latent_gap`).
     """
     mu, (d, vn) = state.mu, xa.shape
     g = np.empty((d + state.h.shape[0], vn)) if out is None else out
@@ -383,24 +377,30 @@ def update_e(state, xa, out=None, ascent=False):
             r *= mu
             state.y1[s] += r
     col_l21_prox(e2, 1.0 / mu, out=e2, norms=norms)
-    dh -= e2
     return (g1, e2, float(peak), dh) if ascent else (g1, e2)
 
 
-def update_j(state, lam, v, n, out=None, tmp=None):
-    """Auxiliary step: keep diagonal blocks, shrink off-diagonal entries.
-
-    The result goes to `out` when given, and `tmp` takes a second vn x vn
-    buffer for M = Z - Y3/mu. `out` may be J's own buffer: the step does
-    not read J. Neither may be Z or Y3, which it reads, nor each other.
-    """
-    m = np.divide(state.y3, state.mu, out=tmp)
-    np.subtract(state.z, m, out=m)
-    j = soft_threshold(m, lam / state.mu, out=out)
-    jb, mb = j.reshape(v, n, v, n), m.reshape(v, n, v, n)
-    for i in range(v):
-        jb[i, :, i, :] = mb[i, :, i, :]
+def update_j(state, lam, v, n):
+    """Auxiliary step: keep diagonal blocks, shrink off-diagonal entries of
+    M = Z - Y3/mu by lam/mu. `run` folds this step into its J pass."""
+    m = state.z - state.y3 / state.mu
+    j = soft_threshold(m, lam / state.mu)
+    d = range(v)
+    j.reshape(v, n, v, n)[d, :, d] = m.reshape(v, n, v, n)[d, :, d]
     return j
+
+
+def _j_pass(z, b, c, eta, v, n):
+    """`run`'s J step and Y3 dual step: B = Z + c (c = -Y3/mu on entry) into
+    b, C = clip(B, -eta, eta) with zeroed diagonal blocks into c, J = B - C
+    (update_j's shrinkage) into b; Y3 + mu (J - Z) is then -mu C. Returns
+    max |J - Z|, taken by row panels through one scratch panel."""
+    np.add(z, c, out=b)
+    np.clip(b, -eta, eta, out=c)
+    c.reshape(v, n, v, n)[range(v), :, range(v)] = 0
+    b -= c
+    return float(np.max([np.abs(np.subtract(b[s], z[s], out=p), out=p).max()
+                         for s, p in _row_panels(*z.shape, dtype=z.dtype)]))
 
 
 def _residual_mats(state, xa):
@@ -410,11 +410,8 @@ def _residual_mats(state, xa):
 
 
 def residuals(state, xa, mats=None):
-    """Max-abs feasibility residuals of the three coupling constraints.
-
-    `mats` takes the residual matrices, or their max-abs values, when the
-    caller already has them.
-    """
+    """Max-abs feasibility residuals of the three coupling constraints;
+    `mats` takes the residual matrices, or their max-abs values."""
     if mats is None:
         mats = _residual_mats(state, xa)
     return tuple(float(max(np.max(r), -np.min(r))) for r in mats)
@@ -426,16 +423,15 @@ def update_multipliers(state, xa, mats=None):
 
     `mats` takes the residual matrices R when the caller already has them;
     they are consumed as scratch, and an R of None leaves its multiplier
-    as it is (`run` steps Y1 in the E step). The multipliers are updated
-    in place, so the step allocates nothing.
+    as it is (`run` steps Y1 in the E step and Y3 in its J pass). The
+    multipliers are updated in place, so the step allocates nothing.
     """
     if mats is None:
         mats = _residual_mats(state, xa)
     for r, y in zip(mats, (state.y1, state.y2, state.y3)):
-        if r is None:
-            continue
-        r *= state.mu
-        y += r
+        if r is not None:
+            r *= state.mu
+            y += r
     state.mu = min(RHO * state.mu, MU_MAX)
     return state
 
@@ -464,6 +460,12 @@ def run(xa, cfg):
     on: the augmented matrix, or a copy of its block-diagonal part under v2.
     E1's buffer holds T from the P step to the E step, which steps Y1 too.
     Deterministic for a fixed seed.
+
+    J and Y3 are held implicitly: the J step and Y3's dual step give
+    Y3 = -mu C (`_j_pass`), the last block's dual condition (Boyd et al.,
+    FnT-ML 2011, 3.3). Y3's buffer holds C, then r C = -Y3/mu' (mu' the
+    next penalty, r = mu/mu'), and J's holds B, then J, then the next Z
+    step's A = J - r C. After the last iteration Y3 = -mu C is formed.
     """
     mat = xa.block_diagonal() if cfg.ablation == "v2" else xa.xa
     v, n = xa.n_views, xa.n_samples
@@ -471,37 +473,37 @@ def run(xa, cfg):
 
     state = init_state(xa, cfg)
     e = state.e1.base  # the stacked [E1; E2] that init_state made
-    # with one spare, every vn x vn step writes into Z, J or the spare, and
-    # so does the J - Z residual; beside X, Y1 and E are the only d x vn
-    # arrays: T goes over E1, and the E step refills E and steps Y1
-    spare = np.empty_like(state.z)
+    # beside X, Y1 and E are the only d x vn arrays: T goes over E1, and the
+    # E step refills E and steps Y1. A and -Y3/mu start at 0, as J and Y3
+    # do, and H W at H, as W = I - Z = I
+    a, c, hw = state.j, state.y3, state.h
     trace = ConvergenceTrace()
-    converged = False
     for t in range(1, cfg.max_iter + 1):
+        mu = state.mu
         try:
             target = _latent_target(state, mat, out=state.e1)
             state.p = update_p(state, mat, target=target)
             # W = I - Z goes over Z, which nothing reads again before
             # update_z writes the new Z there
-            state.h = update_h(state, mat, target=target,
-                               out=(state.z, spare))
-            state.z = update_z(state, out=state.z, tmp=spare)
-            # J before E: neither step reads the other's variable
-            state.j = update_j(state, lam, v, n, out=state.j, tmp=spare)
-            state.e1, state.e2, r1, r2 = update_e(state, mat, out=e,
+            state.h = update_h(state, mat, target=target, hw=hw, out=state.z)
+            state.z = update_z(state, a=a, out=state.z)
+            r3 = _j_pass(state.z, a, c, lam / mu, v, n)
+            state.e1, state.e2, r1, hw = update_e(state, mat, out=e,
                                                   ascent=True)
         except NumericalError as exc:
             raise NumericalError(f"iteration {t}: {exc}") from exc
         obj = objective(state, lam, v, n)
-        r3 = np.subtract(state.j, state.z, out=spare)
+        r2 = hw - state.e2
         primal = residuals(state, mat, (r1, r2, r3))
-        trace.append(*primal, obj, state.mu)
-        update_multipliers(state, mat, (None, r2, r3))
-        if max(primal) < cfg.tol:
-            converged = True
+        trace.append(*primal, obj, mu)
+        update_multipliers(state, mat, (None, r2, None))
+        converged = max(primal) < cfg.tol
+        if converged or t == cfg.max_iter:
             break
+        c *= mu / state.mu
+        a -= c
 
-    del spare, r3  # the KKT check's temporaries take its place
+    c *= -mu
     # the multiplier step leaves P, H, Z, E and J as they were, so the last
     # traced residuals are the final iterate's primal gaps
     kkt = kkt_residuals(state, mat, lam, v, n, primal=primal)

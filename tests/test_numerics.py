@@ -520,6 +520,22 @@ def test_gram_cg_solve_float32_w_edge_shapes_match_cholesky(vn, k):
                   * np.linalg.norm(ref, axis=1))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gram_cg_solve_takes_the_warm_start_product_it_would_form(dtype):
+    # x0 W W.T passed in, formed as the solver forms it, gives the same bits
+    rng = np.random.default_rng(38)
+    vn, k = 80, 3
+    w = (np.eye(vn) - rng.standard_normal((vn, vn)) / (2 * np.sqrt(vn))
+         ).astype(dtype)
+    b = rng.standard_normal((k, vn))
+    x0 = rng.standard_normal((k, vn))
+    x0ww = (w @ (x0.astype(dtype) @ w).T).T
+    x, its = gram_cg_solve(w, b, x0)
+    x_given, its_given = gram_cg_solve(w, b, x0, x0ww=x0ww)
+    assert its > 1 and its_given == its
+    assert np.array_equal(x_given, x)
+
+
 def test_gram_cg_solve_identity_w_converges_in_one_iteration():
     rng = np.random.default_rng(32)
     b = rng.standard_normal((4, 30))

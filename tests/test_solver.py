@@ -201,6 +201,23 @@ def test_update_h_general_path_without_orthonormal_p():
     assert np.linalg.norm(grad) <= 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_steps_given_the_terms_they_would_form_give_the_same_bits(dtype):
+    # `run` hands the H step H W from the last E step and the Z step A from
+    # J's buffer; each, given what it would form itself, is unchanged
+    rng = np.random.default_rng(13)
+    st = random_admm_state(rng, d=8, k=3, v=2, n=5, mu=1.3)
+    st.z, st.j, st.y3 = (m.astype(dtype) for m in (st.z, st.j, st.y3))
+    xa = make_xa(rng, 8, 10)
+    st.p = update_p(st, xa)
+    hw = solver._latent_gap(st.h, st.z)
+    assert np.array_equal(update_h(st, xa, hw=hw), update_h(st, xa))
+    a = st.j + st.y3 / st.mu
+    z = update_z(st, a=a, out=np.empty_like(a))
+    assert z.dtype == dtype
+    assert np.array_equal(z, update_z(st))
+
+
 # ---------------------------------------------------------------------------
 # update_z
 # ---------------------------------------------------------------------------
@@ -257,13 +274,14 @@ def test_update_z_gradient_vanishes():
 
 
 
-def dense_update_z(state, **_):
+def dense_update_z(state, a, **_):
     """Reference Z step: the vn x vn normal equations, factored densely.
 
-    Takes and ignores `run`'s buffer keywords, returning a new array."""
+    Takes A = J + Y3/mu from `run`'s `a`, since J's buffer holds A during
+    the Z step, and ignores its buffer keyword, returning a new array."""
     h, mu = state.h, state.mu
     hth = h.T @ h
-    rhs = (state.j + hth - h.T @ state.e2) + (state.y3 + h.T @ state.y2) / mu
+    rhs = a + hth + h.T @ (state.y2 / mu - state.e2)
     return spd_solve(np.eye(hth.shape[0]) + hth, rhs)
 
 
@@ -303,8 +321,8 @@ def counting_cg(monkeypatch):
     results = []
     cg = solver.gram_cg_solve
 
-    def wrapper(*args):
-        x, its = cg(*args)
+    def wrapper(*args, **kwargs):
+        x, its = cg(*args, **kwargs)
         results.append(None if x is None else its)
         return x, its
 
@@ -339,6 +357,36 @@ def test_run_cg_h_step_matches_dense_reference(monkeypatch, k, seed):
     obj_dense = np.array(dense.trace.objective)
     assert np.all(np.abs(obj_fast - obj_dense) <= 1e-9 * np.abs(obj_dense))
     assert np.abs(fast.z - dense.z).max() <= 1e-9
+
+
+def cg_iterations(monkeypatch, xa, cfg, form_warm_start):
+    """Per-H-step CG iterations of one run; with form_warm_start, CG forms
+    x0 W W.T itself instead of taking the H step's."""
+    its = []
+    cg = numerics.gram_cg_solve
+
+    def wrapper(w, b, x0, x0ww=None):
+        assert x0ww is not None
+        x, it = cg(w, b, x0, x0ww=None if form_warm_start else x0ww)
+        its.append(it)
+        return x, it
+
+    monkeypatch.setattr(solver, "gram_cg_solve", wrapper)
+    assert len(run(xa, cfg).trace) == len(its)
+    return its
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_cg_warm_start_from_the_e_step_costs_no_iterations(monkeypatch,
+                                                               seed):
+    # the H step takes H W W.T, CG's first residual term, from the last E
+    # step's float64 H W = H - H Z; CG forming it in float32 from H takes
+    # as many iterations per H step, never fewer
+    xa, cfg = dense_k8_aug(), ElmscConfig(lam=1.0, latent_dim=8, seed=seed)
+    given = cg_iterations(monkeypatch, xa, cfg, form_warm_start=False)
+    formed = cg_iterations(monkeypatch, xa, cfg, form_warm_start=True)
+    assert len(given) == len(formed)
+    assert all(a <= b for a, b in zip(given, formed)), (given, formed)
 
 
 @pytest.mark.parametrize("cap", [0, 1])
@@ -616,7 +664,13 @@ def shaped_case(view_dims, views, ablation, per_cluster=None):
     ([8, 6, 7], 3, "v1"),
     ([40, 30], 2, "v2"),
 ], ids=["wide", "tall", "tall-v1", "wide-v2"])
-def test_run_matches_unfused_reference(view_dims, views, ablation):
+def test_run_matches_unfused_reference(monkeypatch, view_dims, views,
+                                      ablation):
+    # `run` holds J and Y3 implicitly (Y3 = -mu C after each J step), which
+    # rounds differently from the standalone steps; the check is of
+    # algebraic exactness, so it runs wholly in float64 (in float32 the
+    # objectives differ by up to 4.8e-8 relative)
+    monkeypatch.setattr(solver, "VN2_DTYPE", np.float64)
     xa, cfg = shaped_case(view_dims, views, ablation)
     fused = run(xa, cfg)
     ref, ref_objs = unfused_run(xa, cfg)
@@ -624,12 +678,17 @@ def test_run_matches_unfused_reference(view_dims, views, ablation):
     obj, ref_obj = np.array(fused.trace.objective), np.array(ref_objs)
     # the l2,1 term is exactly 0 while E is still zero
     assert np.all(np.abs(obj - ref_obj) <= 1e-9 * np.abs(ref_obj))
-    assert np.abs(fused.z - ref.z).max() <= 1e-9
+    for name in ("z", "j", "y3"):
+        assert np.abs(getattr(fused.state, name)
+                      - getattr(ref, name)).max() <= 1e-9, name
 
 
 def dropping_buffers(fn):
-    """The step as called without `run`'s buffer keywords."""
-    def wrapper(*args, out=None, tmp=None, **kwargs):
+    """The step as called without `run`'s buffer keyword, and with a copy
+    of the A it is given, so that it reads no buffer it writes."""
+    def wrapper(*args, out=None, **kwargs):
+        if kwargs.get("a") is not None:
+            kwargs["a"] = kwargs["a"].copy()
         return fn(*args, **kwargs)
     return wrapper
 
@@ -641,12 +700,13 @@ def dropping_buffers(fn):
 ], ids=["wide", "tall", "tall-v1"])
 def test_run_buffer_reuse_is_bit_identical(monkeypatch, view_dims, views,
                                            ablation):
-    # every vn x vn step writes into a buffer `run` hands it; each must run
-    # the same operations as when it allocates, and none may read a buffer
-    # another step has already overwritten
+    # the H step writes W, and the Z step Z, into Z's buffer, and the Z
+    # step reads A from J's; each must run the same operations as when it
+    # allocates, and none may read a buffer another step has already
+    # overwritten
     xa, cfg = shaped_case(view_dims, views, ablation)
     reused = run(xa, cfg)
-    for name in ("update_h", "update_z", "update_j"):
+    for name in ("update_h", "update_z"):
         monkeypatch.setattr(solver, name, dropping_buffers(getattr(solver, name)))
     fresh = run(xa, cfg)
     for column in ("r1", "r2", "r3", "objective", "mu"):
@@ -685,8 +745,8 @@ def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
     out, peak = warm_solve_peak(xa, cfg)
     assert len(out.trace) == 3
     assert out.z is made[-1]["z"]
-    # J is rewritten in place, the multipliers updated in place, not
-    # rotated through the spare
+    # J's and Y3's buffers hold the J pass's terms and end with J and Y3,
+    # and the other multipliers are updated in place
     for name in ("j", "y1", "y2", "y3"):
         assert getattr(out.state, name) is made[-1][name], name
     for name in ("z", "j", "y3"):
@@ -694,13 +754,14 @@ def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
     # before the buffers were reused, this warm run peaked at 3,066,220
     # bytes, 5.2576 vn x vn float64 buffers: Z, J, Y3, B and the Cholesky
     # copy of B; with float64 iterates and reused buffers at 2,674,864
-    # (4.59), and with float32 Z, J, Y3 and spare at 1,581,378 (2.71)
-    assert peak / (8.0 * vn * vn) <= 2.75
+    # (4.59); with float32 Z, J, Y3 and a spare at 1,581,378 (2.71); and
+    # with J and Y3 held implicitly and no spare at 1,225,720 (2.10)
+    assert peak / (8.0 * vn * vn) <= 2.15
 
 
 def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
     # beside X a solve holds two d x vn arrays, Y1 and the stacked E, and at
-    # most Z, J, Y3, the spare, B and B's Cholesky copy among vn x vn ones;
+    # most Z, J, Y3, B and B's Cholesky copy among vn x vn ones;
     # a CG cap of 0 makes every H step the dense one, which forms B
     ds = gen_synthetic(clusters=3, per_cluster=20, views=2, latent_dim=4,
                        view_dims=[300, 240], noise_sigma=0.1, seed=1)
@@ -770,8 +831,12 @@ def test_run_float32_iterates_match_a_float64_solve(monkeypatch, case):
     assert np.array_equal(*labels)
     obj, ref_obj = single.trace.objective[-1], ref.trace.objective[-1]
     assert abs(obj - ref_obj) <= 1e-4 * abs(ref_obj)
-    # acceptance criterion 3's limit; at lam = 1000 the j_gap reads 4.3e-4
+    # acceptance criterion 3's limit
     assert max(single.kkt.as_tuple()) <= 1e-2
+    if cfg.lam == 1000.0:
+        # Y3 = -mu C by construction: one float32 ulp of lam, 6.1e-5. Formed
+        # by the dual step Y3 += mu (J - Z) at mu = 1e6, it read 4.3e-4
+        assert single.kkt.j_gap <= 1e-4
 
 
 def test_run_cg_h_step_solves_the_paper_grids_largest_k(monkeypatch):

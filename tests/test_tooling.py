@@ -25,12 +25,13 @@ SETUP_PROBE = ROOT / "bench" / "setup_probe.py"
 BENCH_RUN = ROOT / "bench" / "run.py"
 README = ROOT / "README.md"
 
-# calls per iteration that `run` makes to each traced solver-module layer
+# calls per iteration that `run` makes to each traced solver-module layer;
+# its J pass folds update_j (and so soft_threshold) with Y3's dual step
 PER_ITERATION = {
     "update_p": 1, "update_h": 1, "update_z": 1, "update_e": 1,
-    "update_j": 1, "residuals": 1, "objective": 1, "update_multipliers": 1,
+    "update_j": 0, "residuals": 1, "objective": 1, "update_multipliers": 1,
     "spd_solve": 0, "solve_sylvester": 0, "orthogonal_procrustes": 1,
-    "col_l21_prox": 1, "soft_threshold": 1,
+    "col_l21_prox": 1, "soft_threshold": 0,
 }
 
 
