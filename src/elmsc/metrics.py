@@ -2,9 +2,9 @@
 
 All four metrics are invariant to relabeling of either partition: accuracy
 via optimal assignment on the confusion matrix (solved here by the
-Hungarian method, so that no process loads `scipy.optimize`), mutual
-information normalized by the arithmetic mean of the partition entropies,
-the adjusted-for-chance Rand index, and F1 over co-clustered sample pairs.
+Hungarian method, in numpy alone), mutual information normalized by the
+arithmetic mean of the partition entropies, the adjusted-for-chance Rand
+index, and F1 over co-clustered sample pairs.
 """
 
 from dataclasses import dataclass

@@ -2,9 +2,9 @@
 
 Precision follows the input: a float32 array is worked on and returned in
 float32, anything else in float64, and the NaN/Inf checks hold for both.
-Factorizations go to LAPACK through numpy, and spd_solve's Cholesky through
-scipy.linalg, imported on first use; the Sylvester solver and the proximal
-operators are here.
+Factorizations go to LAPACK through numpy, the only runtime dependency; the
+Sylvester and SPD solvers, which work from sym_eig's eigendecomposition, and
+the proximal operators are here.
 """
 
 import numpy as np
@@ -197,13 +197,13 @@ def pca_reduce(x, m):
     centered = x - x.mean(axis=1, keepdims=True)
     if not centered.any():
         # constant data: zero variance everywhere, projection is trivial
-        return np.zeros((m, n_samp))
+        return np.zeros((m, n_samp), x.dtype)
     u = svd(centered)[0]
     return u[:, :m].T @ centered
 
 
 # gram_cg_solve's stopping rule: relative residual per row (see cg_rtol),
-# and the iteration cap past which the caller factors instead
+# and the iteration cap past which the caller solves densely instead
 CG_RTOL = 1e-12
 CG_MAX_ITER = 50
 
@@ -212,7 +212,7 @@ def cg_rtol(dtype):
     """gram_cg_solve's relative stop for products with W in `dtype`:
     CG_RTOL, or 100 eps where that is larger, 1.19e-5 for float32. Float32
     products reach about 1e-7, so at CG_RTOL every float32 solve would run
-    to the cap and fall back to the factorization."""
+    to the cap and fall back to the dense solve."""
     return max(CG_RTOL, 100 * float(np.finfo(dtype).eps))
 
 
@@ -234,7 +234,7 @@ def gram_cg_solve(w, b, x0, x0ww=None):
     first step, so x0 is never returned without one; CG_MAX_ITER caps the
     iterations. Returns (X, iterations), or (None, iterations) when some
     row is still above its tolerance at the cap, or the iterate overflows,
-    so that the caller can fall back to a factorization. W is not checked
+    so that the caller can fall back to a dense solve. W is not checked
     for NaN/Inf: it can only make the iterate non-finite.
     """
     b = _as_matrix(b, "b")
@@ -272,20 +272,18 @@ def gram_cg_solve(w, b, x0, x0ww=None):
 
 
 def spd_solve(a, b):
-    """Solve a @ X = b for SPD a by SciPy's Cholesky, imported on first use.
+    """Solve a @ X = b for SPD a as q diag(1/lam) q.T b, from sym_eig(a).
 
-    The factorization runs in a's precision and the triangular solves in
-    b's: a float32 a is factored by LAPACK's spotrf, and with a float64 b
-    SciPy solves from a float64 copy of the factor.
+    The eigendecomposition runs in a's precision, with sym_eig's NaN/Inf
+    and symmetry checks, and the products with q in b's. A matrix whose
+    smallest eigenvalue is not positive is refused.
     """
-    from scipy.linalg import cho_factor, cho_solve
-    a = _as_matrix(a, "a")
-    b = _float_array(b)
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    lam, q = sym_eig(a)
+    if not lam[0] > 0:
         raise NumericalError(
-            f"Cholesky factorization failed: {a.shape[0]}x{a.shape[1]} "
-            "matrix is not positive definite"
-        ) from exc
-    return cho_solve(factor, b, check_finite=False)
+            f"{q.shape[0]}x{q.shape[0]} matrix is not positive definite: "
+            f"smallest eigenvalue {lam[0]:.3e}"
+        )
+    b = _float_array(b)
+    q = q.astype(b.dtype, copy=False)
+    return q @ ((q.T @ b) / lam.astype(b.dtype)[:, None])

@@ -4,8 +4,8 @@ The iteration cycles five subproblems (projection P, latent H, representation
 Z, error E, auxiliary J), then performs dual ascent on three multipliers with
 a penalty that grows from MU0 by a factor RHO per iteration up to MU_MAX.
 P comes from an orthogonal Procrustes step. H solves a Sylvester system, SPD
-since P is orthonormal: by conjugate gradients on its k rows, and by one
-Cholesky factorization of the vn x vn Gram only when CG gives up. Z comes
+since P is orthonormal: by conjugate gradients on its k rows, and through an
+eigendecomposition of the vn x vn Gram only when CG gives up. Z comes
 from a k x k LU solve through the push-through identity (Z's system
 I + H.T H is the identity plus a rank-k term), E from the columnwise l2,1
 proximal map, and J from block-diagonal-preserving shrinkage.
@@ -190,11 +190,12 @@ def init_state(xa, cfg):
 
     Z, J and Y3, `run`'s only vn x vn buffers, are VN2_DTYPE, float32: the
     vn x vn passes (the H step's products with W = I - Z or its Gram and
-    Cholesky, the Z step's H.T S^-1 G, the J pass) are bound by memory
-    bandwidth or gemm speed, which float32 halves, and their rounding of
+    eigendecomposition, the Z step's H.T S^-1 G, the J pass) are bound by
+    memory bandwidth or gemm speed, which float32 halves, and their rounding of
     6e-8 relative stays far below the 1e-3 stop. X, P, H, E1, E2, Y1 and Y2
-    are float64: in float32, Y1/mu is lost against X, a large H breaks the
-    dense H step's Cholesky, and H - H Z misreads the self-representation gap.
+    are float64: in float32, Y1/mu is lost against X, H keeps a solve on the
+    dense H step from converging, and H - H Z misreads the self-representation
+    gap.
     """
     d, vn = xa.xa.shape
     k = cfg.latent_dim
@@ -273,9 +274,9 @@ def update_h(state, xa, target=None, hw=None, out=None):
     buffer holds T by then). With P orthonormal, as update_p returns it,
     the system is H (I + W W.T) = C, SPD, solved by conjugate gradients on
     the k rows (`gram_cg_solve`), warm-started from the current H; only when
-    CG gives up (at its cap, or on overflow) are the Gram W W.T and its
-    Cholesky factor formed. The general Sylvester branch, for any other P,
-    is never reached by `run`.
+    CG gives up (at its cap, or on overflow) is the Gram W W.T formed and
+    solved through its eigendecomposition (`spd_solve`). The general
+    Sylvester branch, for any other P, is never reached by `run`.
 
     `hw` takes H W = H - H Z when the caller already has it (`run` keeps
     the last E step's); D W.T and the warm start's H W W.T come from one
@@ -285,8 +286,8 @@ def update_h(state, xa, target=None, hw=None, out=None):
     W and B take Z's dtype; C, H and the CG iterate are float64. k x vn
     operands are cast to Z's dtype for their products with W, formed as
     (W D.T).T, the faster order, so that W is never copied into float64.
-    The dense step factors B in its own precision and solves in C's, since
-    a float32 solve moves the final objective an order of magnitude more.
+    The dense step decomposes B in its own precision and solves in C's, since
+    a float32 solve moves the final objective two orders of magnitude more.
     """
     p, z = state.p, state.z
     k, vn = p.shape[1], z.shape[0]

@@ -358,6 +358,8 @@ def test_kernels_keep_float32_and_still_reject_nan():
     assert col_l21_prox(g, 0.5).dtype == np.float32
     assert all(f.dtype == np.float32 for f in svd(g))
     assert pca_reduce(g, 2).dtype == np.float32
+    # constant data takes pca_reduce's zero-variance branch
+    assert pca_reduce(np.ones((5, 10), np.float32), 2).dtype == np.float32
     g[2, 1] = np.nan
     for kernel in (lambda m: col_l21_prox(m, 0.5), svd,
                    lambda m: spd_solve(m[:4], np.ones((4, 1), np.float32))):
@@ -442,7 +444,7 @@ def test_spd_solve_factors_in_a_and_solves_in_b_precision():
     x = spd_solve(a, b)
     assert x.dtype == np.float64
     a64 = a.astype(np.float64)
-    # a float32 factor: its backward error is float32's, either way
+    # a float32 eigendecomposition: float32's backward error, either way
     for sol in (x32, x):
         assert np.linalg.norm(a64 @ sol - b) <= 1e-5 * np.linalg.norm(b)
 

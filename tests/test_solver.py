@@ -752,17 +752,19 @@ def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
     for name in ("z", "j", "y3"):
         assert getattr(out.state, name).dtype == np.float32, name
     # before the buffers were reused, this warm run peaked at 3,066,220
-    # bytes, 5.2576 vn x vn float64 buffers: Z, J, Y3, B and the Cholesky
-    # copy of B; with float64 iterates and reused buffers at 2,674,864
-    # (4.59); with float32 Z, J, Y3 and a spare at 1,581,378 (2.71); and
-    # with J and Y3 held implicitly and no spare at 1,225,720 (2.10)
+    # bytes, 5.2576 vn x vn float64 buffers: Z, J, Y3, B and B's Cholesky
+    # copy (every H step was then the dense one); with float64 iterates and
+    # reused buffers at 2,674,864 (4.59); with float32 Z, J, Y3 and a spare
+    # at 1,581,378 (2.71); and with J and Y3 held implicitly and no spare at
+    # 1,225,720 (2.10)
     assert peak / (8.0 * vn * vn) <= 2.15
 
 
 def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
     # beside X a solve holds two d x vn arrays, Y1 and the stacked E, and at
-    # most Z, J, Y3, B and B's Cholesky copy among vn x vn ones;
-    # a CG cap of 0 makes every H step the dense one, which forms B
+    # most Z, J, Y3, B and B's eigenvectors, in float32 and as a float64
+    # copy, among vn x vn ones; a CG cap of 0 makes every H step the dense
+    # one, which forms them
     ds = gen_synthetic(clusters=3, per_cluster=20, views=2, latent_dim=4,
                        view_dims=[300, 240], noise_sigma=0.1, seed=1)
     xa = build_augmented(ds, default_pca_components(3, ds))
@@ -774,7 +776,8 @@ def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
     assert len(out.trace) == 3
     # while T and X - P H were fresh d x vn arrays and the KKT check formed
     # Y - E / safe whole, this warm run peaked at 2,459,950 bytes, 3.41
-    # d x vn buffers plus 6 vn x vn
+    # d x vn buffers plus 6 vn x vn; it peaks at 1,606,050 bytes, against
+    # 1,494,342 with a Cholesky in place of the eigendecomposition
     assert peak <= 8.0 * (2 * d * vn + 6 * vn * vn)
 
 
@@ -810,7 +813,7 @@ def ten_cluster_aug():
                                   "ten-cluster-k100-lam1000-dense"])
 def test_run_float32_iterates_match_a_float64_solve(monkeypatch, case):
     # every H step is solved by CG, except in the "-dense" case, where a CG
-    # cap of 0 makes it the dense fallback's Cholesky
+    # cap of 0 makes it the dense fallback, spd_solve's eigendecomposition
     if case == "dense-k8":
         xa, cfg, c = dense_k8_aug(), ElmscConfig(lam=1.0, latent_dim=8), 5
     else:
@@ -841,8 +844,8 @@ def test_run_float32_iterates_match_a_float64_solve(monkeypatch, case):
 
 def test_run_cg_h_step_solves_the_paper_grids_largest_k(monkeypatch):
     # k = 200, lam = 1000 is the slowest cell of the paper's lam x k grid;
-    # warm-started CG solves every H step there, so no run factors the
-    # vn x vn Gram
+    # warm-started CG solves every H step there, so no run forms the
+    # vn x vn Gram for the dense solve
     cg_runs = counting_cg(monkeypatch)
     spd_calls = []
     monkeypatch.setattr(solver, "spd_solve",

@@ -242,11 +242,11 @@ def run_child(child):
                           capture_output=True, text=True)
 
 
-def test_cli_cluster_loads_scipy_only_for_the_dense_h_step(tmp_path):
+def test_cli_cluster_loads_no_scipy_even_on_the_dense_h_step(tmp_path):
     # importing scipy.linalg costs about a quarter of a small cluster
-    # process; only the vn x vn Cholesky of the dense H step imports it.
-    # The first run takes the CG H step; a CG cap of 0 then makes every H
-    # step of the second fall back to the dense one
+    # process, and numpy is elmsc's only runtime dependency. The first run
+    # takes the CG H step; a CG cap of 0 then makes every H step of the
+    # second fall back to the dense one, spd_solve's eigendecomposition
     cg = {"clusters": 2, "per_cluster": 20, "views": 2, "latent_dim": 3,
           "view_dims": [6, 5], "noise_sigma": 0.1, "seed": 0}
     runs = [
@@ -257,21 +257,35 @@ def test_cli_cluster_loads_scipy_only_for_the_dense_h_step(tmp_path):
     child = (
         "import sys\n"
         "from elmsc import cli, numerics\n"
-        "def scipy():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy())\n"
         f"for argv in {runs!r}:\n"
-        "    print(cli.main(argv), bool(scipy()), 'scipy.linalg' in scipy())\n"
+        "    print(cli.main(argv), [m for m in sys.modules\n"
+        "                           if m.split('.')[0] == 'scipy'])\n"
         "    numerics.CG_MAX_ITER = 0\n"
     )
     out = run_child(child).stdout.splitlines()
-    assert out[-3:] == ["[]", "0 False False", "0 True True"], out
+    assert out[-2:] == ["0 []", "0 []"], out
+
+
+def test_no_package_module_imports_scipy():
+    # a static guard over every import, those inside functions included:
+    # the runtime tests here see only the paths their runs take
+    found = []
+    for path in sorted((ROOT / "src" / "elmsc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, found
 
 
 def test_every_benchmark_workload_runs_without_scipy(tmp_path):
     # importing scipy.linalg adds about 22 MiB and 0.1 s to a cluster
-    # process; CG solves every H step of both benchmark workloads, so
-    # neither imports it
+    # process; no elmsc module imports it, so neither workload loads it
     for name, workload in bench_workloads().items():
         argv = workload_cluster_argv(tmp_path, name, workload)
         child = (
