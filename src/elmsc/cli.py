@@ -27,9 +27,8 @@ from . import dataset as ds_mod
 from . import metrics as metrics_mod
 from . import solver as solver_mod
 from . import spectral as spectral_mod
-from ._seeds import rng_from
 from .dataset import DatasetError
-from .numerics import NumericalError
+from .numerics import NumericalError, finite_real, number, rng_from
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -61,6 +60,8 @@ class RunConfig:
     def __post_init__(self):
         if (self.manifest is None) == (self.synthetic is None):
             raise ValueError("exactly one of manifest/synthetic must be given")
+        for name in ("clusters", "trials", "workers", "seed", "latent_dim"):
+            number(getattr(self, name), name)
         if self.clusters < 2:
             raise ValueError(f"clusters must be >= 2, got {self.clusters}")
         if self.trials < 1:
@@ -69,9 +70,9 @@ class RunConfig:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if not self.lambda_grid or not self.k_grid:
             raise ValueError("sweep grids must be nonempty")
-        self.lambda_grid = tuple(ds_mod.finite_real(lam, "lambda_grid")
+        self.lambda_grid = tuple(finite_real(lam, "lambda_grid")
                                  for lam in self.lambda_grid)
-        self.k_grid = tuple(ds_mod.number(k, "k_grid") for k in self.k_grid)
+        self.k_grid = tuple(number(k, "k_grid") for k in self.k_grid)
         if min(self.lambda_grid) < 0:
             raise ValueError(f"'lambda_grid' must be nonnegative: {self.lambda_grid}")
         if min(self.k_grid) < 1:  # a k above d fails only its cell

@@ -6,15 +6,13 @@ blocks and similarity-weighted cross-view products off the diagonal.
 """
 
 import json
-import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._seeds import rng_from
-from .numerics import pca_reduce
+from .numerics import finite_real, number, pca_reduce, rng_from
 
 _LABEL_DTYPE = np.int64
 
@@ -106,10 +104,7 @@ class AugmentedMatrix:
 
 def _normalize_columns(x):
     norms = np.linalg.norm(x, axis=0)
-    out = np.zeros_like(x)
-    nz = norms > 0
-    out[:, nz] = x[:, nz] / norms[nz]
-    return out
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
 def cosine_similarity(xp, xq):
@@ -174,20 +169,6 @@ def default_pca_components(clusters, ds):
         raise ValueError(f"clusters={clusters} outside [1, {ds.n_samples}], "
                          "the sample count")
     return min(clusters * 6, ds.n_samples - 1, min(ds.view_dims))
-
-
-def number(value, name, kind=numbers.Integral):
-    """`value` if it is a `kind` but not a bool, else ValueError naming it."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"'{name}' must be {kind.__name__.lower()}, not {value!r}")
-    return value
-
-
-def finite_real(value, name):
-    """`number`'s rule for a real `value` that must also be finite."""
-    if not -np.inf < number(value, name, numbers.Real) < np.inf:
-        raise ValueError(f"'{name}' must be finite, not {value!r}")
-    return value
 
 
 def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,

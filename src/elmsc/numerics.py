@@ -1,15 +1,17 @@
-"""Dense-matrix kernels and proximal operators used throughout the toolkit.
+"""The package's base: its errors, number rules, seeded RNG and kernels.
 
-Precision follows the input: a float32 array is worked on and returned in
+The other modules build on this one, which imports none of them. Kernel
+precision follows the input: a float32 array is worked on and returned in
 float32, anything else in float64, and the NaN/Inf checks hold for both.
-Factorizations go to LAPACK through numpy, the only runtime dependency; the
-Sylvester and SPD solvers, which work from sym_eig's eigendecomposition, and
-the proximal operators are here.
+Factorizations go to LAPACK through numpy, the only runtime dependency.
 """
+
+import numbers
 
 import numpy as np
 
 SYLVESTER_SINGULAR_TOL = 1e-12
+_MASK64 = (1 << 64) - 1
 
 
 class NumericalError(RuntimeError):
@@ -34,6 +36,30 @@ class NonFiniteError(NumericalError, ValueError):
     A ValueError, as a contract violation, and a NumericalError, because
     inside the solver it means the iterate has overflowed.
     """
+
+
+def number(value, name, kind=numbers.Integral):
+    """`value` if it is a `kind` but not a bool, else ValueError naming it."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"'{name}' must be {kind.__name__.lower()}, not {value!r}")
+    return value
+
+
+def finite_real(value, name):
+    """`number`'s rule for a real `value` that must also be finite."""
+    if not -np.inf < number(value, name, numbers.Real) < np.inf:
+        raise ValueError(f"'{name}' must be finite, not {value!r}")
+    return value
+
+
+def rng_from(seed, *stream):
+    """PCG64 generator for an integer seed and an optional derived stream key.
+
+    The seed is reduced modulo 2**64 so negative seeds are accepted; distinct
+    stream keys give independent, reproducible streams for the same seed.
+    """
+    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=tuple(stream))
+    return np.random.default_rng(ss)
 
 
 def _float_array(m):
@@ -195,9 +221,6 @@ def pca_reduce(x, m):
             f"{n_feat}x{n_samp} sample matrix"
         )
     centered = x - x.mean(axis=1, keepdims=True)
-    if not centered.any():
-        # constant data: zero variance everywhere, projection is trivial
-        return np.zeros((m, n_samp), x.dtype)
     u = svd(centered)[0]
     return u[:, :m].T @ centered
 

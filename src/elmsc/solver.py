@@ -23,16 +23,17 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._seeds import rng_from
-from .dataset import finite_real
 from .numerics import (
     NumericalError,
     _as_matrix,
     col_l21_prox,
     col_norms,
+    finite_real,
     gram_cg_solve,
     l21_scale,
+    number,
     orthogonal_procrustes,
+    rng_from,
     soft_threshold,
     solve_sylvester,
     spd_solve,
@@ -63,8 +64,9 @@ class ElmscConfig:
     def __post_init__(self):
         if finite_real(self.lam, "lam") < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.latent_dim < 1:
+        if number(self.latent_dim, "latent_dim") < 1:
             raise ValueError(f"latent_dim must be positive, got {self.latent_dim}")
+        number(self.seed, "seed")
         if self.ablation not in ABLATIONS:
             raise ValueError(
                 f"ablation must be one of {ABLATIONS}, got {self.ablation!r}"
@@ -158,10 +160,9 @@ def block_diagonal_part(m, v, n):
     """Zero everything except the v diagonal n x n blocks."""
     if m.shape != (v * n, v * n):
         raise ValueError(f"expected a {v * n}x{v * n} matrix, got {m.shape}")
-    out = np.zeros_like(m)
-    for i in range(v):
-        s = slice(i * n, (i + 1) * n)
-        out[s, s] = m[s, s]
+    out = np.zeros(m.shape, m.dtype)
+    d = range(v)
+    out.reshape(v, n, v, n)[d, :, d] = m.reshape(v, n, v, n)[d, :, d]
     return out
 
 
@@ -532,8 +533,8 @@ def kkt_residuals(state, xa, lam, v, n, primal=None):
     columns), read from Y and E by row panels into panel-sized temporaries,
     never a d x vn one. The j_gap is the l1 condition on J: on active
     off-diagonal-block entries |Y3 + lam * sgn(J)|, on inactive ones the
-    excess of |Y3| over lam, and on diagonal blocks |Y3| itself (the penalty
-    does not act there, so the multiplier must vanish).
+    excess of |Y3| over lam, and on diagonal blocks, where the penalty's
+    weight is 0, |Y3| itself: the multiplier must vanish there.
     """
     p1, p2, p3 = residuals(state, xa) if primal is None else primal
 
@@ -549,19 +550,17 @@ def kkt_residuals(state, xa, lam, v, n, primal=None):
             sq += np.einsum("ij,ij->j", gap, gap)
     e_gap = float((np.sqrt(sq) - idle).max(initial=0.0))
 
-    # block by block in Y3's dtype: on a diagonal block the gap is |Y3|
-    # itself; elsewhere lam (1 - |sgn J|) is 0 on active entries and lam on
-    # inactive ones, where sgn J = 0 and the gap is |Y3| - lam
+    # block by block in Y3's dtype, with the l1 weight w = lam off the
+    # diagonal blocks and 0 on them: w (1 - |sgn J|) is 0 on active entries
+    # and w on inactive ones, where sgn J = 0 and the gap is |Y3| - w
     lam = state.y3.dtype.type(lam)
+    y3, j = state.y3.reshape(v, n, v, n), state.j.reshape(v, n, v, n)
     j_gap = 0.0
     for a, b in np.ndindex(v, v):
-        blk = np.s_[a * n:(a + 1) * n, b * n:(b + 1) * n]
-        if a == b:
-            gap = np.abs(state.y3[blk])
-        else:
-            sgn = np.sign(state.j[blk])
-            gap = np.abs(state.y3[blk] + lam * sgn)
-            gap -= lam * (1 - np.abs(sgn))
+        w = lam * (a != b)
+        sgn = np.sign(j[a, :, b])
+        gap = np.abs(y3[a, :, b] + w * sgn)
+        gap -= w * (1 - np.abs(sgn))
         j_gap = max(j_gap, float(gap.max(initial=0.0)))
 
     return KktReport(recon=p1, selfrep=p2, aux=p3, e_gap=e_gap, j_gap=j_gap)

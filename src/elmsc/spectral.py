@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import rng_from
-from .numerics import sym_eig
+from .numerics import rng_from, sym_eig
 
 _LLOYD_CAP = 300
 _RESTARTS = 10
@@ -56,7 +55,7 @@ def _greedy_seed(points, c, rng):
     first = int(rng.integers(n))
     centers[0] = points[first]
     d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    n_candidates = 2 + int(np.log(c)) if c > 1 else 1
+    n_candidates = 2 + int(np.log(c))
     for i in range(1, c):
         total = d2.sum()
         if total <= 0:

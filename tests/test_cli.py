@@ -328,6 +328,15 @@ def test_run_config_refuses_grid_values_no_cell_can_run(tmp_path, field, grid):
         tiny_config(tmp_path, **{field: grid})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("clusters", 2.0), ("trials", 2.5), ("trials", True), ("workers", 1.5),
+    ("seed", 1.7), ("latent_dim", 2.0),
+])
+def test_run_config_counts_must_be_integers(tmp_path, field, value):
+    with pytest.raises(ValueError, match=field):
+        tiny_config(tmp_path, **{field: value})
+
+
 def test_sweep_missing_manifest_is_data_error(tmp_path, capsys):
     code = cli.main([
         "sweep", "--manifest", str(tmp_path / "nope.json"), "--clusters", "2",

@@ -358,8 +358,11 @@ def test_kernels_keep_float32_and_still_reject_nan():
     assert col_l21_prox(g, 0.5).dtype == np.float32
     assert all(f.dtype == np.float32 for f in svd(g))
     assert pca_reduce(g, 2).dtype == np.float32
-    # constant data takes pca_reduce's zero-variance branch
-    assert pca_reduce(np.ones((5, 10), np.float32), 2).dtype == np.float32
+    # constant data centers to zeros, which the SVD path projects to zeros
+    for dtype in (np.float64, np.float32):
+        reduced = pca_reduce(np.full((5, 10), 3.0, dtype), 2)
+        assert reduced.dtype == dtype and reduced.shape == (2, 10)
+        assert not reduced.any()
     g[2, 1] = np.nan
     for kernel in (lambda m: col_l21_prox(m, 0.5), svd,
                    lambda m: spd_solve(m[:4], np.ones((4, 1), np.float32))):

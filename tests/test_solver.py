@@ -62,6 +62,15 @@ def test_config_validation():
         ElmscConfig(lam=1.0, latent_dim=5, ablation="v3")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("latent_dim", 2.5), ("latent_dim", True), ("seed", 1.7), ("seed", True),
+])
+def test_config_counts_must_be_integers(field, value):
+    kwargs = {"lam": 1.0, "latent_dim": 2, field: value}
+    with pytest.raises(ValueError, match=field):
+        ElmscConfig(**kwargs)
+
+
 def _tiny_aug(rng, d=6, v=2, n=5):
     views = [rng.standard_normal((d // 2, n)) for _ in range(v)]
     return build_augmented(MultiViewDataset(views=views), 2)

@@ -162,7 +162,7 @@ def test_kmeans_rejects_too_many_clusters():
 def test_kmeans_lloyd_inertia_monotone():
     # replicate the assignment/update cycle and check inertia never rises
     from elmsc.spectral import _greedy_seed
-    from elmsc._seeds import rng_from
+    from elmsc.numerics import rng_from
 
     rng = np.random.default_rng(10)
     points = rng.standard_normal((40, 3))

@@ -283,6 +283,22 @@ def test_no_package_module_imports_scipy():
     assert not found, found
 
 
+def test_package_modules_build_on_numerics_alone():
+    # numerics is the base and metrics stands apart; the data layer, the
+    # solver and the spectral step import only numerics
+    siblings = {}
+    for path in sorted((ROOT / "src" / "elmsc").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        siblings[path.stem] = {
+            (node.module or alias.name).split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.level for alias in node.names}
+    assert "_seeds" not in siblings
+    assert siblings["numerics"] == siblings["metrics"] == set()
+    for name in ("dataset", "solver", "spectral"):
+        assert siblings[name] == {"numerics"}, (name, siblings[name])
+
+
 def test_every_benchmark_workload_runs_without_scipy(tmp_path):
     # importing scipy.linalg adds about 22 MiB and 0.1 s to a cluster
     # process; no elmsc module imports it, so neither workload loads it
