@@ -10,15 +10,15 @@ from a k x k LU solve through the push-through identity (Z's system
 I + H.T H is the identity plus a rank-k term), E from the columnwise l2,1
 proximal map, and J from block-diagonal-preserving shrinkage.
 
-The vn x vn iterates Z, J and Y3 are float32 (see `init_state`), and `run`
-holds no other vn x vn array; every d x vn and k x vn array, and every
-product whose rounding reaches a multiplier or the stop test, is float64.
-Each step follows the dtypes of the arrays it is given, so a state built
-in float64 runs wholly in float64.
+The vn x vn iterates Z, J and Y3 are float32 (see `init_state`); every
+d x vn array (vn x vn in a solve on X = QR's R, see `run`), every k x vn
+array, and every product whose rounding reaches a multiplier or the stop
+test, is float64. Each step follows the dtypes of the arrays it is given,
+so a state built in float64 runs wholly in float64.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -127,11 +127,11 @@ class ConvergenceTrace:
 class KktReport:
     """Stationarity diagnostics at the final iterate.
 
-    Three primal feasibility gaps (max-abs residuals of the reconstruction,
-    self-representation, and auxiliary constraints) plus two subgradient
-    membership gaps: the distance of the stacked multiplier [Y1; Y2] from the
-    l2,1 subdifferential at E, and the distance of -Y3 from lam times the l1
-    subdifferential at the off-diagonal blocks of J.
+    Three primal feasibility gaps, as `residuals` takes them (recon is the
+    largest column l2 norm), plus two subgradient membership gaps: the
+    distance of the stacked multiplier [Y1; Y2] from the l2,1 subdifferential
+    at E, and the distance of -Y3 from lam times the l1 subdifferential at
+    the off-diagonal blocks of J.
     """
 
     recon: float
@@ -147,7 +147,9 @@ class KktReport:
 @dataclass
 class SolverOutput:
     """Result of `run`: the final iterate, whose Z is also `z`, and its
-    stationarity diagnostics against the matrix and lam the solve used."""
+    stationarity diagnostics against the matrix and lam the solve used.
+    After a solve on X = QR's factor R, the state's P, E1 and Y1 are in
+    R's coordinates (Q P, Q E1 and Q Y1 in X's); the report holds for X."""
 
     z: np.ndarray
     trace: ConvergenceTrace
@@ -189,7 +191,7 @@ def init_state(xa, cfg):
     E1 and E2 are views of one stacked (d+k) x vn buffer, which `run` hands
     to each E step to refill in place.
 
-    Z, J and Y3, `run`'s only vn x vn buffers, are VN2_DTYPE, float32: the
+    Z, J and Y3, `run`'s vn x vn iterates, are VN2_DTYPE, float32: the
     vn x vn passes (the H step's products with W = I - Z or its Gram and
     eigendecomposition, the Z step's H.T S^-1 G, the J pass) are bound by
     memory bandwidth or gemm speed, which float32 halves, and their rounding of
@@ -357,7 +359,7 @@ def update_e(state, xa, out=None, ascent=False):
     in `run`, T), and shrunk in place; E1 and E2 are returned as its views.
     Each row panel of G1 yields its rows of R1 = (G1 - Y1/mu) - E1 as it is
     shrunk; with `ascent` Y1 takes its dual step Y1 += mu R1 there, and the
-    step returns (E1, E2, max |R1|, H - H Z), whence R2 = H - H Z - E2.
+    step returns (E1, E2, `residuals`' r1, H - H Z), whence R2 = H - H Z - E2.
     H - H Z is formed in float64 from a float32 Z too (`_latent_gap`).
     """
     mu, (d, vn) = state.mu, xa.shape
@@ -369,17 +371,17 @@ def update_e(state, xa, out=None, ascent=False):
     e2 = np.add(state.y2 / mu, dh, out=g[d:])
     norms = col_norms(g)
     scale = l21_scale(norms, 1.0 / mu)
-    peak = 0.0
+    sq = np.zeros(vn)
     for s, r in _row_panels(d, vn):
         np.subtract(g1[s], np.divide(state.y1[s], mu, out=r), out=r)
         g1[s] *= scale
         r -= g1[s]
-        peak = np.maximum(peak, np.maximum(r.max(), -r.min()))  # keeps NaN
+        sq += np.einsum("ij,ij->j", r, r)
         if ascent:
             r *= mu
             state.y1[s] += r
     col_l21_prox(e2, 1.0 / mu, out=e2, norms=norms)
-    return (g1, e2, float(peak), dh) if ascent else (g1, e2)
+    return (g1, e2, float(np.sqrt(sq.max())), dh) if ascent else (g1, e2)
 
 
 def update_j(state, lam, v, n):
@@ -412,10 +414,12 @@ def _residual_mats(state, xa):
 
 
 def residuals(state, xa, mats=None):
-    """Max-abs feasibility residuals of the three coupling constraints;
-    `mats` takes the residual matrices, or their max-abs values."""
+    """Feasibility residuals of the three coupling constraints: R1's largest
+    column l2 norm (>= its max-abs entry; NaN with a NaN entry) and R2's and
+    R3's max-abs. `mats` takes these values, or R2 and R3 in their places."""
     if mats is None:
-        mats = _residual_mats(state, xa)
+        r1, r2, r3 = _residual_mats(state, xa)
+        mats = (col_norms(r1).max(), r2, r3)
     return tuple(float(max(np.max(r), -np.min(r))) for r in mats)
 
 
@@ -463,6 +467,13 @@ def run(xa, cfg):
     E1's buffer holds T from the P step to the E step, which steps Y1 too.
     Deterministic for a fixed seed.
 
+    When that matrix X is d x vn with d > vn >= k, the loop runs on the
+    vn x vn R of X = QR, Q never formed (Liu et al., TPAMI 2013): Y1 and E1
+    start at 0, so every d x vn iterate stays in range(Q), and as column
+    norms and P.T P = I hold under Q.T, H, Z, E2, Y2, J, Y3, the trace and
+    the KKT report equal those on X (P is completed freely where H T.T has
+    rank below k, on X as on R).
+
     J and Y3 are held implicitly: the J step and Y3's dual step give
     Y3 = -mu C (`_j_pass`), the last block's dual condition (Boyd et al.,
     FnT-ML 2011, 3.3). Y3's buffer holds C, then r C = -Y3/mu' (mu' the
@@ -471,6 +482,9 @@ def run(xa, cfg):
     """
     mat = xa.block_diagonal() if cfg.ablation == "v2" else xa.xa
     v, n = xa.n_views, xa.n_samples
+    if cfg.latent_dim <= mat.shape[1] < mat.shape[0]:
+        mat = np.linalg.qr(mat, mode="r")
+        xa = replace(xa, xa=mat)
     lam = cfg.effective_lam
 
     state = init_state(xa, cfg)
@@ -526,15 +540,15 @@ def aggregate_z(z, v, n):
 def kkt_residuals(state, xa, lam, v, n, primal=None):
     """First-order stationarity gaps at the current iterate.
 
-    The primal gaps are the three max-abs constraint residuals; `primal`
-    takes them when the caller already has them. The e_gap is the worst
-    columnwise distance of [Y1; Y2] from the l2,1 subdifferential at E (the
-    unit-normalized column for active columns, the unit ball for zero
-    columns), read from Y and E by row panels into panel-sized temporaries,
-    never a d x vn one. The j_gap is the l1 condition on J: on active
-    off-diagonal-block entries |Y3 + lam * sgn(J)|, on inactive ones the
-    excess of |Y3| over lam, and on diagonal blocks, where the penalty's
-    weight is 0, |Y3| itself: the multiplier must vanish there.
+    The primal gaps are `residuals`' three; `primal` takes them when the
+    caller already has them. The e_gap is the worst columnwise distance of
+    [Y1; Y2] from the l2,1 subdifferential at E (the unit-normalized column
+    for active columns, the unit ball for zero columns), read from Y and E
+    by row panels into panel-sized temporaries, never a d x vn one. The
+    j_gap is the l1 condition on J: on active off-diagonal-block entries
+    |Y3 + lam * sgn(J)|, on inactive ones the excess of |Y3| over lam, and
+    on diagonal blocks, where the penalty's weight is 0, |Y3| itself: the
+    multiplier must vanish there.
     """
     p1, p2, p3 = residuals(state, xa) if primal is None else primal
 

@@ -581,9 +581,22 @@ def test_residuals_match_independent_recomputation():
     st = random_admm_state(rng, d=6, k=2, v=2, n=3)
     xa = make_xa(rng, 6, 6)
     r1, r2, r3 = residuals(st, xa)
-    assert r1 == np.abs(xa - st.p @ st.h - st.e1).max()
+    assert r1 == pytest.approx(
+        np.linalg.norm(xa - st.p @ st.h - st.e1, axis=0).max(), rel=1e-14)
     assert r2 == np.abs(st.h - st.h @ st.z - st.e2).max()
     assert r3 == np.abs(st.j - st.z).max()
+
+
+def test_residuals_r1_bounds_the_max_abs_entry_and_keeps_nan():
+    # r1 is R1's largest column l2 norm, which a rotation of the rows
+    # leaves unchanged; it bounds the max-abs entry from above
+    rng = np.random.default_rng(24)
+    st = random_admm_state(rng, d=6, k=2, v=2, n=3)
+    xa = make_xa(rng, 6, 6)
+    r1, _, _ = residuals(st, xa)
+    assert r1 >= np.abs(xa - st.p @ st.h - st.e1).max()
+    xa[4, 2] = np.nan
+    assert np.isnan(residuals(st, xa)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -656,31 +669,44 @@ def unfused_run(xa, cfg):
     return st, objs
 
 
-def shaped_case(view_dims, views, ablation, per_cluster=None):
-    """Three clusters with 36 samples per view (two views) or 10 (three)."""
+def shaped_case(view_dims, views, ablation, per_cluster=None,
+                noise_sigma=0.1):
+    """Three clusters of 18 samples each (two views) or 10 (three)."""
     if per_cluster is None:
         per_cluster = 36 // views if views == 2 else 10
     ds = gen_synthetic(clusters=3, per_cluster=per_cluster, views=views,
-                       latent_dim=4, view_dims=view_dims, noise_sigma=0.1,
-                       seed=1)
+                       latent_dim=4, view_dims=view_dims,
+                       noise_sigma=noise_sigma, seed=1)
     xa = build_augmented(ds, default_pca_components(3, ds))
     return xa, ElmscConfig(lam=0.5, latent_dim=4, seed=2, ablation=ablation)
 
 
-@pytest.mark.parametrize("view_dims,views,ablation", [
-    ([40, 30], 2, "full"),      # d = 70 > vn = 36
-    ([8, 6, 7], 3, "full"),     # d = 21 < vn = 90
-    ([8, 6, 7], 3, "v1"),
-    ([40, 30], 2, "v2"),
-], ids=["wide", "tall", "tall-v1", "wide-v2"])
+# d = 70 > vn = 36 with k = 4: `run` solves on X = QR's R
+REDUCED = dict(per_cluster=6)
+# noiseless as well: X has rank 8
+RANK_DEFICIENT = dict(per_cluster=6, noise_sigma=0.0)
+
+
+@pytest.mark.parametrize("view_dims,views,ablation,spec", [
+    ([40, 30], 2, "full", {}),     # d = 70 < vn = 108
+    ([8, 6, 7], 3, "full", {}),    # d = 21 < vn = 90
+    ([8, 6, 7], 3, "v1", {}),
+    ([40, 30], 2, "v2", {}),
+    ([40, 30], 2, "full", REDUCED),
+    ([40, 30], 2, "v2", REDUCED),
+    ([40, 30], 2, "full", RANK_DEFICIENT),
+    ([40, 30], 2, "v2", RANK_DEFICIENT),
+], ids=["wide", "tall", "tall-v1", "wide-v2", "reduced", "reduced-v2",
+        "rank-deficient", "rank-deficient-v2"])
 def test_run_matches_unfused_reference(monkeypatch, view_dims, views,
-                                      ablation):
+                                      ablation, spec):
     # `run` holds J and Y3 implicitly (Y3 = -mu C after each J step), which
     # rounds differently from the standalone steps; the check is of
     # algebraic exactness, so it runs wholly in float64 (in float32 the
-    # objectives differ by up to 4.8e-8 relative)
+    # objectives differ by up to 4.8e-8 relative). The reference loop
+    # always runs on X itself, never on R
     monkeypatch.setattr(solver, "VN2_DTYPE", np.float64)
-    xa, cfg = shaped_case(view_dims, views, ablation)
+    xa, cfg = shaped_case(view_dims, views, ablation, **spec)
     fused = run(xa, cfg)
     ref, ref_objs = unfused_run(xa, cfg)
     assert len(fused.trace) == len(ref_objs)
@@ -702,18 +728,19 @@ def dropping_buffers(fn):
     return wrapper
 
 
-@pytest.mark.parametrize("view_dims,views,ablation", [
-    ([40, 30], 2, "full"),      # d = 70 > vn = 36
-    ([8, 6, 7], 3, "full"),     # d = 21 < vn = 90
-    ([8, 6, 7], 3, "v1"),       # lam = 0: J shrinks by a zero threshold
-], ids=["wide", "tall", "tall-v1"])
+@pytest.mark.parametrize("view_dims,views,ablation,spec", [
+    ([40, 30], 2, "full", {}),     # d = 70 < vn = 108
+    ([8, 6, 7], 3, "full", {}),    # d = 21 < vn = 90
+    ([8, 6, 7], 3, "v1", {}),      # lam = 0: J shrinks by a zero threshold
+    ([40, 30], 2, "full", REDUCED),
+], ids=["wide", "tall", "tall-v1", "reduced"])
 def test_run_buffer_reuse_is_bit_identical(monkeypatch, view_dims, views,
-                                           ablation):
+                                           ablation, spec):
     # the H step writes W, and the Z step Z, into Z's buffer, and the Z
     # step reads A from J's; each must run the same operations as when it
     # allocates, and none may read a buffer another step has already
     # overwritten
-    xa, cfg = shaped_case(view_dims, views, ablation)
+    xa, cfg = shaped_case(view_dims, views, ablation, **spec)
     reused = run(xa, cfg)
     for name in ("update_h", "update_z"):
         monkeypatch.setattr(solver, name, dropping_buffers(getattr(solver, name)))
@@ -769,14 +796,18 @@ def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
     assert peak / (8.0 * vn * vn) <= 2.15
 
 
+def wide_aug():
+    ds = gen_synthetic(clusters=3, per_cluster=20, views=2, latent_dim=4,
+                       view_dims=[300, 240], noise_sigma=0.1, seed=1)
+    return build_augmented(ds, default_pca_components(3, ds))
+
+
 def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
     # beside X a solve holds two d x vn arrays, Y1 and the stacked E, and at
     # most Z, J, Y3, B and B's eigenvectors, in float32 and as a float64
     # copy, among vn x vn ones; a CG cap of 0 makes every H step the dense
     # one, which forms them
-    ds = gen_synthetic(clusters=3, per_cluster=20, views=2, latent_dim=4,
-                       view_dims=[300, 240], noise_sigma=0.1, seed=1)
-    xa = build_augmented(ds, default_pca_components(3, ds))
+    xa = wide_aug()
     d, vn = xa.xa.shape  # d = 540 = 4.5 vn
     cfg = ElmscConfig(lam=0.5, latent_dim=4, seed=2)
     fix_iterations(monkeypatch, 3)
@@ -788,6 +819,46 @@ def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
     # d x vn buffers plus 6 vn x vn; it peaks at 1,606,050 bytes, against
     # 1,494,342 with a Cholesky in place of the eigendecomposition
     assert peak <= 8.0 * (2 * d * vn + 6 * vn * vn)
+
+
+def test_run_on_a_wide_input_holds_one_d_by_vn_array(monkeypatch):
+    # the solve on R holds every iterate at vn rows, so beside X its one
+    # d x vn array is the QR's copy of X
+    xa = wide_aug()
+    d, vn = xa.xa.shape
+    fix_iterations(monkeypatch, 3)
+    out, peak = warm_solve_peak(xa, ElmscConfig(lam=0.5, latent_dim=4, seed=2))
+    assert len(out.trace) == 3
+    assert out.state.y1.shape == (vn, vn)
+    # it peaks at 651,208 bytes, against 1,351,320 on X itself
+    assert peak <= 8.0 * (d * vn + 6 * vn * vn)
+
+
+@pytest.mark.parametrize("ablation", ["full", "v2"])
+def test_reduced_state_lifted_by_q_has_the_reported_kkt_gaps(ablation):
+    xa, cfg = shaped_case([40, 30], 2, ablation, **REDUCED)
+    mat = xa.block_diagonal() if ablation == "v2" else xa.xa
+    out = run(xa, cfg)
+    q, _ = np.linalg.qr(mat)
+    lifted = dataclasses.replace(out.state, p=q @ out.state.p,
+                                 e1=q @ out.state.e1, y1=q @ out.state.y1)
+    kkt = kkt_residuals(lifted, mat, cfg.effective_lam,
+                        xa.n_views, xa.n_samples)
+    # a gap at rounding level (the e_gap reads about 5e-14) is compared
+    # absolutely, at 1e-9 of the stop tolerance
+    assert_allclose(kkt.as_tuple(), out.kkt.as_tuple(), rtol=1e-9,
+                    atol=1e-9 * cfg.tol)
+
+
+def test_run_solves_unreduced_when_k_exceeds_vn():
+    ds = gen_synthetic(clusters=2, per_cluster=5, views=2, latent_dim=4,
+                       view_dims=[40, 30], noise_sigma=0.1, seed=1)
+    xa = build_augmented(ds, default_pca_components(2, ds))
+    d, vn = xa.xa.shape  # d = 70 >= k = 25 > vn = 20
+    out = run(xa, ElmscConfig(lam=0.5, latent_dim=25, seed=2))
+    assert out.converged
+    assert out.state.p.shape == (d, 25)
+    assert out.state.y1.shape == (d, vn)
 
 
 NOISY_FAMILY = dict(clusters=5, per_cluster=40, views=3, latent_dim=8,
