@@ -98,7 +98,8 @@ def _load_or_generate(cfg):
 
 @np.errstate(all="ignore")  # overflow is caught by the NaN/Inf guards
 def _trial_job(payload):
-    """One end-to-end trial; top-level so worker processes can run it."""
+    """One end-to-end trial on a matrix `solver.solve_matrix` formed;
+    top-level so worker processes can run it."""
     xa, scfg, clusters, trial, labels = payload
     start = time.perf_counter()
     out = solver_mod.run(xa, scfg)
@@ -162,12 +163,14 @@ def _run_trials(cfg, xa, labels):
                                   seed=cfg.seed, ablation=cfg.ablation)
     # before any trial, so that no worker pool starts for a k above d
     solver_mod.check_latent_dim(scfg.latent_dim, xa.xa.shape[0])
+    # once per run, so payloads carry the vn x vn R, not X, when d > vn >= k
+    xa = solver_mod.solve_matrix(xa, scfg)
 
     payloads = [
         (xa, replace(scfg, seed=scfg.seed + t), cfg.clusters, t, labels)
         for t in range(cfg.trials)
     ]
-    # a pool starts all its workers at once, each with its own copy of xa
+    # a pool starts all its workers at once, each with a copy of that matrix
     workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:

@@ -10,11 +10,11 @@ from a k x k LU solve through the push-through identity (Z's system
 I + H.T H is the identity plus a rank-k term), E from the columnwise l2,1
 proximal map, and J from block-diagonal-preserving shrinkage.
 
-The vn x vn iterates Z, J and Y3 are float32 (see `init_state`); every
-d x vn array (vn x vn in a solve on X = QR's R, see `run`), every k x vn
-array, and every product whose rounding reaches a multiplier or the stop
-test, is float64. Each step follows the dtypes of the arrays it is given,
-so a state built in float64 runs wholly in float64.
+`solve_matrix` forms the matrix the loop iterates on (`cli`, once per run):
+X, its block-diagonal part under v2, or when d > vn >= k the vn x vn R of
+its QR. Z, J and Y3 are float32 (see `init_state`); every other iterate, and
+every product whose rounding reaches a multiplier or the stop test, is
+float64. Each step follows its arrays' dtypes: a float64 state runs in float64.
 """
 
 import csv
@@ -148,8 +148,8 @@ class KktReport:
 class SolverOutput:
     """Result of `run`: the final iterate, whose Z is also `z`, and its
     stationarity diagnostics against the matrix and lam the solve used.
-    After a solve on X = QR's factor R, the state's P, E1 and Y1 are in
-    R's coordinates (Q P, Q E1 and Q Y1 in X's); the report holds for X."""
+    P, E1 and Y1 are in R's coordinates after a solve on X = QR's R (Q P,
+    Q E1, Q Y1 in X's; Q per view under v2); the report holds for X."""
 
     z: np.ndarray
     trace: ConvergenceTrace
@@ -455,6 +455,26 @@ def objective(state, lam, v, n):
     return l21 + lam * off
 
 
+def solve_matrix(xa, cfg):
+    """The matrix `run` iterates on: X, or under v2 its block-diagonal part;
+    when d > vn >= k, the vn x vn R of X = QR instead, Q never formed (Liu
+    et al., TPAMI 2013), under v2 one view's R per diagonal block, padded
+    with zero rows (d > vn leaves Q room). Idempotent: R is vn x vn, so a
+    second call returns its argument, or under v2 an equal copy."""
+    (d, vn), n = xa.xa.shape, xa.n_samples
+    v2 = cfg.ablation == "v2"
+    if not cfg.latent_dim <= vn < d:
+        return replace(xa, xa=xa.block_diagonal()) if v2 else xa
+    if v2:
+        r = np.zeros((vn, vn), xa.xa.dtype)
+        for l in range(xa.n_views):
+            f = np.linalg.qr(xa.block(l, l), mode="r")
+            r[l * n:l * n + len(f), l * n:(l + 1) * n] = f
+    else:
+        r = np.linalg.qr(xa.xa, mode="r")
+    return replace(xa, xa=r, block_rows=tuple(range(0, vn, n)))
+
+
 def run(xa, cfg):
     """Execute the full alternating schedule on an augmented matrix.
 
@@ -463,16 +483,16 @@ def run(xa, cfg):
     iteration); the trace records every iteration; the loop stops once all
     three residuals drop below cfg.tol or cfg.max_iter is reached. The KKT
     report is taken at the final iterate, against the matrix the solve ran
-    on: the augmented matrix, or a copy of its block-diagonal part under v2.
+    on, `solve_matrix(xa, cfg)`: a caller that solves one matrix many times
+    (`cli`'s trials) passes that result, which `run` then uses unchanged.
     E1's buffer holds T from the P step to the E step, which steps Y1 too.
     Deterministic for a fixed seed.
 
-    When that matrix X is d x vn with d > vn >= k, the loop runs on the
-    vn x vn R of X = QR, Q never formed (Liu et al., TPAMI 2013): Y1 and E1
-    start at 0, so every d x vn iterate stays in range(Q), and as column
-    norms and P.T P = I hold under Q.T, H, Z, E2, Y2, J, Y3, the trace and
-    the KKT report equal those on X (P is completed freely where H T.T has
-    rank below k, on X as on R).
+    When that matrix is the vn x vn R of X = QR: Y1 and E1 start at 0, so
+    every d x vn iterate on X stays in range(Q), and as column norms and
+    P.T P = I hold under Q.T, H, Z, E2, Y2, J, Y3, the trace and the KKT
+    report equal those on X (P is completed freely where H T.T has rank
+    below k, on X as on R).
 
     J and Y3 are held implicitly: the J step and Y3's dual step give
     Y3 = -mu C (`_j_pass`), the last block's dual condition (Boyd et al.,
@@ -480,11 +500,8 @@ def run(xa, cfg):
     next penalty, r = mu/mu'), and J's holds B, then J, then the next Z
     step's A = J - r C. After the last iteration Y3 = -mu C is formed.
     """
-    mat = xa.block_diagonal() if cfg.ablation == "v2" else xa.xa
-    v, n = xa.n_views, xa.n_samples
-    if cfg.latent_dim <= mat.shape[1] < mat.shape[0]:
-        mat = np.linalg.qr(mat, mode="r")
-        xa = replace(xa, xa=mat)
+    xa = solve_matrix(xa, cfg)
+    mat, v, n = xa.xa, xa.n_views, xa.n_samples
     lam = cfg.effective_lam
 
     state = init_state(xa, cfg)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -713,6 +714,55 @@ def test_sweep_cell_out_of_memory_fails_only_that_cell(monkeypatch, tmp_path,
                                                      "summary.csv"]
 
 
+def raise_in_solve_matrix(monkeypatch, exc, latent_dim=None):
+    """Make solver.solve_matrix raise exc (at latent_dim only, if given):
+    it runs once per run, after the set-up and before any trial."""
+    solve_matrix = solver.solve_matrix
+
+    def failing(xa, scfg):
+        if latent_dim in (None, scfg.latent_dim):
+            raise exc
+        return solve_matrix(xa, scfg)
+
+    monkeypatch.setattr(solver, "solve_matrix", failing)
+
+
+FAILURE_CLASSES = pytest.mark.parametrize("exc,code,name", [
+    (array_memory_error(), cli.EXIT_DATA, "MemoryError"),
+    (cli.NumericalError("synthetic failure"), cli.EXIT_NUMERIC,
+     "NumericalError"),
+])
+
+
+@FAILURE_CLASSES
+def test_failure_forming_the_solved_matrix_writes_nothing(
+        monkeypatch, tmp_path, capsys, exc, code, name):
+    raise_in_solve_matrix(monkeypatch, exc)
+    out = tmp_path / "o"
+    assert cli.main(["cluster", "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--latent-dim", "3", "--trials", "2",
+                     "--out", str(out)]) == code
+    assert only_error_record(capsys)["error"] == name
+    assert not out.exists()
+
+
+@FAILURE_CLASSES
+def test_sweep_cell_failing_to_form_its_solved_matrix_fails_only_it(
+        monkeypatch, tmp_path, capsys, exc, code, name):
+    raise_in_solve_matrix(monkeypatch, exc, latent_dim=2)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--lambda-grid", "1", "--k-grid", "2",
+                     "3", "--trials", "1", "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["failed", "ok"]
+    assert rows[0]["error"].startswith(name)
+    assert sorted(p.name for p in out.iterdir()) == ["cell_lam1_k3",
+                                                     "summary.csv"]
+
+
 def test_overflow_during_setup_is_numerical_exit(tmp_path, capsys):
     # finite entries near the float64 limit overflow the PCA mean; the
     # NonFiniteError is also a ValueError but must exit as numerical
@@ -858,3 +908,53 @@ def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
     assert (kkt_data[0] is xa.xa) == (ablation == "full")
     assert set(record["kkt"]) == {"recon", "selfrep", "aux", "e_gap", "j_gap"}
     assert list(record["metrics"]) == ["acc", "nmi", "ari", "f1"]
+
+
+WIDE_SPEC = dict(clusters=3, per_cluster=20, views=2, latent_dim=4,
+                 view_dims=[600, 480], noise_sigma=0.1, seed=1)
+
+
+@pytest.mark.parametrize("ablation,factors", [("full", 1), ("v2", 2)])
+def test_wide_run_factors_x_once_and_hands_every_trial_r(
+        monkeypatch, tmp_path, ablation, factors):
+    # d = 1080 > vn = 120 >= k = 4: the run factors X once (under v2 once
+    # per view), and no trial factors it again or holds a d x vn array
+    cfg = tiny_config(tmp_path, clusters=3, synthetic=dict(WIDE_SPEC),
+                      latent_dim=4, trials=3, ablation=ablation)
+    xa, labels = cli._prepare(cfg)
+    d, vn = xa.xa.shape
+    factored = []
+    qr = np.linalg.qr
+
+    def counting(a, mode="reduced"):
+        if mode == "r":  # the Procrustes step takes the reduced QR
+            factored.append(a.shape)
+        return qr(a, mode=mode)
+
+    payloads = []
+    trial_job = cli._trial_job
+
+    def recording(payload):
+        payloads.append(payload)
+        return trial_job(payload)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    monkeypatch.setattr(cli, "_trial_job", recording)
+    report = cli._run_trials(cfg, xa, labels)
+    assert len(factored) == factors
+    assert len(payloads) == 3
+    assert all(p[0].xa.shape == (vn, vn) for p in payloads)
+    assert [t["metrics"]["acc"] for t in report["trials"]] == [1.0] * 3
+    solved, scfg = payloads[0][:2]
+    solver.run(solved, scfg)  # the first solve allocates one-off state
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solver.run(solved, scfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # about 533,000 (full) and 649,000 (v2) bytes; a full solve on X itself
+    # peaks at about 1,170,000, and a v2 one that factored the d x vn
+    # block-diagonal copy of X whole at about 1,476,000
+    assert peak < 8 * d * vn

@@ -685,6 +685,9 @@ def shaped_case(view_dims, views, ablation, per_cluster=None,
 REDUCED = dict(per_cluster=6)
 # noiseless as well: X has rank 8
 RANK_DEFICIENT = dict(per_cluster=6, noise_sigma=0.0)
+# with view_dims [80, 12], d = 92 > vn = 60, and the second view has 12
+# rows for 30 samples: under v2 its factor is padded with zero rows
+PADDED = dict(per_cluster=10)
 
 
 @pytest.mark.parametrize("view_dims,views,ablation,spec", [
@@ -696,8 +699,9 @@ RANK_DEFICIENT = dict(per_cluster=6, noise_sigma=0.0)
     ([40, 30], 2, "v2", REDUCED),
     ([40, 30], 2, "full", RANK_DEFICIENT),
     ([40, 30], 2, "v2", RANK_DEFICIENT),
+    ([80, 12], 2, "v2", PADDED),
 ], ids=["wide", "tall", "tall-v1", "wide-v2", "reduced", "reduced-v2",
-        "rank-deficient", "rank-deficient-v2"])
+        "rank-deficient", "rank-deficient-v2", "padded-v2"])
 def test_run_matches_unfused_reference(monkeypatch, view_dims, views,
                                       ablation, spec):
     # `run` holds J and Y3 implicitly (Y3 = -mu C after each J step), which
@@ -834,12 +838,26 @@ def test_run_on_a_wide_input_holds_one_d_by_vn_array(monkeypatch):
     assert peak <= 8.0 * (d * vn + 6 * vn * vn)
 
 
+def solve_q(xa, ablation):
+    """The Q of X = QR that `solve_matrix` factors without forming it:
+    under v2 the block-diagonal of each view's own Q (each view has at
+    least n rows here, so no padding column is needed)."""
+    if ablation != "v2":
+        return np.linalg.qr(xa.xa)[0]
+    q = np.zeros(xa.xa.shape)
+    n = xa.n_samples
+    for l, r0 in enumerate(xa.block_rows):
+        ql = np.linalg.qr(xa.block(l, l))[0]
+        q[r0:r0 + len(ql), l * n:l * n + ql.shape[1]] = ql
+    return q
+
+
 @pytest.mark.parametrize("ablation", ["full", "v2"])
 def test_reduced_state_lifted_by_q_has_the_reported_kkt_gaps(ablation):
     xa, cfg = shaped_case([40, 30], 2, ablation, **REDUCED)
     mat = xa.block_diagonal() if ablation == "v2" else xa.xa
     out = run(xa, cfg)
-    q, _ = np.linalg.qr(mat)
+    q = solve_q(xa, ablation)
     lifted = dataclasses.replace(out.state, p=q @ out.state.p,
                                  e1=q @ out.state.e1, y1=q @ out.state.y1)
     kkt = kkt_residuals(lifted, mat, cfg.effective_lam,
@@ -848,6 +866,52 @@ def test_reduced_state_lifted_by_q_has_the_reported_kkt_gaps(ablation):
     # absolutely, at 1e-9 of the stop tolerance
     assert_allclose(kkt.as_tuple(), out.kkt.as_tuple(), rtol=1e-9,
                     atol=1e-9 * cfg.tol)
+
+
+@pytest.mark.parametrize("view_dims,ablation,spec", [
+    ([40, 30], "full", {}),        # d = 70 < vn = 108
+    ([40, 30], "v1", {}),
+    ([40, 30], "v2", {}),
+    ([40, 30], "full", REDUCED),   # d = 70 > vn = 36
+    ([40, 30], "v1", REDUCED),
+    ([40, 30], "v2", REDUCED),
+    ([80, 12], "v2", PADDED),
+], ids=["full", "v1", "v2", "reduced", "reduced-v1", "reduced-v2",
+        "padded-v2"])
+def test_solve_matrix_is_idempotent_and_run_passes_it_through(
+        view_dims, ablation, spec):
+    # cli forms the matrix once per run and each trial's run forms it again
+    # from that: both must be the first result, to the bit
+    xa, cfg = shaped_case(view_dims, 2, ablation, **spec)
+    once = solver.solve_matrix(xa, cfg)
+    twice = solver.solve_matrix(once, cfg)
+    reduced = bool(spec)  # d > vn >= k
+    assert once.xa.shape[0] == (xa.xa.shape[1] if reduced else xa.xa.shape[0])
+    assert (twice is once) == (ablation != "v2")
+    assert (once is xa) == (ablation != "v2" and not reduced)
+    assert np.array_equal(twice.xa, once.xa)
+    assert twice.block_rows == once.block_rows
+    assert twice.pca_dim == once.pca_dim == xa.pca_dim
+    direct, passed = run(xa, cfg), run(once, cfg)
+    for column in ("r1", "r2", "r3", "objective", "mu"):
+        assert np.array_equal(getattr(direct.trace, column),
+                              getattr(passed.trace, column)), column
+    for name in ("p", "h", "z", "e1", "e2", "j", "y1", "y2", "y3"):
+        assert np.array_equal(getattr(direct.state, name),
+                              getattr(passed.state, name)), name
+    assert direct.kkt == passed.kkt
+
+
+def test_solve_matrix_factors_each_v2_view_on_its_own_block():
+    # view 2 has 12 rows for 30 samples: its factor fills 12 of its block's
+    # 30 rows, and R.T R = X.T X for the block-diagonal X
+    xa, cfg = shaped_case([80, 12], 2, "v2", **PADDED)
+    r = solver.solve_matrix(xa, cfg).xa
+    n, mat = xa.n_samples, xa.block_diagonal()
+    assert r.shape == (2 * n, 2 * n)
+    assert np.array_equal(r, block_diagonal_part(r, 2, n))
+    assert not r[n + 12:].any()
+    assert_allclose(r.T @ r, mat.T @ mat, atol=1e-12 * np.abs(mat).max() ** 2)
 
 
 def test_run_solves_unreduced_when_k_exceeds_vn():
