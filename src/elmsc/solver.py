@@ -168,14 +168,6 @@ def block_diagonal_part(m, v, n):
     return out
 
 
-def check_latent_dim(k, d):
-    """Raise ValueError unless H's k rows fit the d stacked features."""
-    if k > d:
-        raise ValueError(
-            f"latent_dim={k} exceeds the stacked feature dimension d={d}"
-        )
-
-
 # dtype of the vn x vn iterates Z, J and Y3
 VN2_DTYPE = np.float32
 
@@ -200,9 +192,7 @@ def init_state(xa, cfg):
     dense H step from converging, and H - H Z misreads the self-representation
     gap.
     """
-    d, vn = xa.xa.shape
-    k = cfg.latent_dim
-    check_latent_dim(k, d)
+    (d, vn), k = xa.xa.shape, cfg.latent_dim
     h = rng_from(cfg.seed).standard_normal((k, vn))
     e = np.zeros((d + k, vn))
     return AdmmState(
@@ -456,14 +446,18 @@ def objective(state, lam, v, n):
 
 
 def solve_matrix(xa, cfg):
-    """The matrix `run` iterates on: X, or under v2 its block-diagonal part;
-    when d > vn >= k, the vn x vn R of X = QR instead, Q never formed (Liu
-    et al., TPAMI 2013), under v2 one view's R per diagonal block, padded
-    with zero rows (d > vn leaves Q room). Idempotent: R is vn x vn, so a
-    second call returns its argument, or under v2 an equal copy."""
-    (d, vn), n = xa.xa.shape, xa.n_samples
+    """The matrix `run` iterates on, once a k above xa's d rows is refused
+    (before any factoring or copying): X, or under v2 its block-diagonal
+    part; when d > vn >= k, the vn x vn R of X = QR instead, Q never formed
+    (Liu et al., TPAMI 2013), under v2 one view's R per diagonal block,
+    padded with zero rows (d > vn leaves Q room). Idempotent: R is vn x vn,
+    so a second call returns its argument, or under v2 an equal copy."""
+    (d, vn), n, k = xa.xa.shape, xa.n_samples, cfg.latent_dim
+    if k > d:
+        raise ValueError(
+            f"latent_dim={k} exceeds the stacked feature dimension d={d}")
     v2 = cfg.ablation == "v2"
-    if not cfg.latent_dim <= vn < d:
+    if not k <= vn < d:
         return replace(xa, xa=xa.block_diagonal()) if v2 else xa
     if v2:
         r = np.zeros((vn, vn), xa.xa.dtype)

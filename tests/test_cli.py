@@ -820,6 +820,33 @@ def test_bad_solver_config_rejected_before_first_trial(monkeypatch, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("trials", 0, "trials must be positive"),
+    ("workers", 0, "workers must be positive"),
+    ("lambda_grid", (), "sweep grids must be nonempty"),
+    ("k_grid", (), "sweep grids must be nonempty"),
+])
+def test_run_config_rejects_empty_counts_and_grids(tmp_path, name, value,
+                                                   message):
+    with pytest.raises(ValueError, match=message):
+        tiny_config(tmp_path, **{name: value})
+
+
+def test_labels_file_of_the_wrong_length_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--spec", json.dumps(TINY_SPEC),
+                     "--out", str(data)]) == cli.EXIT_OK
+    capsys.readouterr()
+    np.savetxt(data / "labels.txt", [0, 1, 0], fmt="%d")
+    out = tmp_path / "o"
+    assert cli.main(["cluster", "--manifest", str(data / "manifest.json"),
+                     "--clusters", "2", "--out", str(out)]) == cli.EXIT_DATA
+    err = only_error_record(capsys)
+    assert err["error"] == "DatasetError"
+    assert "has 3 entries, expected 16" in err["message"]
+    assert not out.exists()
+
+
 def test_parser_rejects_unknown_ablation(capsys):
     assert cli.main(["cluster", "--clusters", "2", "--out", "x",
                      "--ablation", "bogus"]) == cli.EXIT_CONFIG
@@ -940,9 +967,10 @@ def test_wide_run_factors_x_once_and_hands_every_trial_r(
 
     monkeypatch.setattr(np.linalg, "qr", counting)
     monkeypatch.setattr(cli, "_trial_job", recording)
-    report = cli._run_trials(cfg, xa, labels)
+    report, matrix = cli._run_trials(cfg, xa, labels)
     assert len(factored) == factors
     assert len(payloads) == 3
+    assert all(p[0] is matrix for p in payloads)
     assert all(p[0].xa.shape == (vn, vn) for p in payloads)
     assert [t["metrics"]["acc"] for t in report["trials"]] == [1.0] * 3
     solved, scfg = payloads[0][:2]
@@ -958,3 +986,51 @@ def test_wide_run_factors_x_once_and_hands_every_trial_r(
     # peaks at about 1,170,000, and a v2 one that factored the d x vn
     # block-diagonal copy of X whole at about 1,476,000
     assert peak < 8 * d * vn
+
+
+def artifact_bytes(out):
+    """{file name: bytes} of a cluster output directory, report.json parsed
+    and stripped of its wall clock times."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    files["report.json"] = strip_wall_clock(json.loads(files["report.json"]))
+    return files
+
+
+@pytest.mark.parametrize("ablation,factors", [("full", 1), ("v2", 2)])
+def test_wide_sweep_factors_x_once_and_hands_r_to_every_cell_it_fits(
+        monkeypatch, tmp_path, ablation, factors):
+    # d = 1080 > vn = 120: the first cell with k <= vn factors X (under v2
+    # once per view), every later such cell is handed that R, and a cell
+    # with k = 130 > vn solves on X; each cell's artifacts are those of a
+    # cluster run of its own
+    cfg = tiny_config(tmp_path, clusters=3, synthetic=dict(WIDE_SPEC),
+                      ablation=ablation, lambda_grid=(1.0, 10.0),
+                      k_grid=(4, 8, 130))
+    factored, shapes = [], []
+    qr, trial_job = np.linalg.qr, cli._trial_job
+
+    def counting(a, mode="reduced"):
+        if mode == "r":  # the Procrustes step takes the reduced QR
+            factored.append(a.shape)
+        return qr(a, mode=mode)
+
+    def recording(payload):
+        shapes.append((payload[1].latent_dim, payload[0].xa.shape))
+        return trial_job(payload)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    monkeypatch.setattr(cli, "_trial_job", recording)
+    cells = cli.cmd_sweep(cfg)
+    assert [c["status"] for c in cells] == ["ok"] * 6
+    assert len(factored) == factors
+    d, vn = 1080, 120
+    assert shapes == [(k, (d, vn) if k == 130 else (vn, vn))
+                      for _ in range(2) for k in (4, 8, 130)]
+    monkeypatch.setattr(cli, "_trial_job", trial_job)
+    for cell in cells:
+        swept = Path(cell["report"]).parent
+        alone = tmp_path / "alone" / swept.name
+        cli.cmd_cluster(dataclasses.replace(
+            cfg, out=str(alone), lam=cell["lambda"],
+            latent_dim=cell["latent_dim"]))
+        assert artifact_bytes(swept) == artifact_bytes(alone), swept.name

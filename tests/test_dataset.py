@@ -77,6 +77,15 @@ def test_dataset_validates_labels_length():
         MultiViewDataset(views=[np.ones((3, 10))], labels=np.zeros(9, dtype=int))
 
 
+@pytest.mark.parametrize("views,message", [
+    ([], "at least one view"),
+    ([np.ones((3, 10)), np.ones(10)], "view 1 must be a 2-d matrix"),
+])
+def test_dataset_needs_views_that_are_matrices(views, message):
+    with pytest.raises(ValueError, match=message):
+        MultiViewDataset(views=views)
+
+
 # ---------------------------------------------------------------------------
 # build_augmented
 # ---------------------------------------------------------------------------
@@ -236,6 +245,9 @@ def test_synthetic_precondition_errors():
         gen_synthetic(2, 5, views=1, latent_dim=9, view_dims=[4], noise_sigma=0, seed=0)
     with pytest.raises(ValueError, match="views and latent_dim must be positive"):
         gen_synthetic(2, 5, views=0, latent_dim=3, view_dims=[])
+    with pytest.raises(ValueError, match="noise_sigma must be nonnegative"):
+        gen_synthetic(2, 5, views=1, latent_dim=3, view_dims=[4],
+                      noise_sigma=-1)
 
 
 def test_synthetic_defaults_and_numpy_integers():

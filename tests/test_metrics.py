@@ -378,3 +378,18 @@ def test_aggregate_matches_statistics_module():
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
         aggregate_trials([])
+
+
+def test_aggregate_rejects_a_row_of_the_wrong_width():
+    with pytest.raises(ValueError, match="each trial must be"):
+        aggregate_trials([(1.0, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("labels,message", [
+    (np.zeros((2, 2), int), "1-d"),
+    ([], "nonempty"),
+])
+def test_label_pair_rejects_labels_that_are_not_a_nonempty_1d_sequence(
+        labels, message):
+    with pytest.raises(ValueError, match=message):
+        LabelPair(predicted=labels, truth=labels)

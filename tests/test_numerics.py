@@ -10,6 +10,7 @@ from elmsc.numerics import (
     col_l21_prox,
     col_norms,
     gram_cg_solve,
+    l21_scale,
     orthogonal_procrustes,
     pca_reduce,
     soft_threshold,
@@ -377,6 +378,13 @@ def test_nonfinite_input_is_both_value_and_numerical_error():
         col_l21_prox(g, 0.5)
     assert isinstance(info.value, ValueError)
     assert isinstance(info.value, NumericalError)
+
+
+def test_l21_scale_rejects_an_infinite_norm():
+    # the E step hands l21_scale norms it took itself, past col_l21_prox's
+    # check of its input
+    with pytest.raises(NonFiniteError, match="non-finite norms"):
+        l21_scale(np.array([1.0, np.inf]), 0.5)
 
 
 # ---------------------------------------------------------------------------

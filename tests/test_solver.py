@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 import elmsc.numerics as numerics
 import elmsc.solver as solver
 from elmsc.dataset import (
+    AugmentedMatrix,
     MultiViewDataset,
     build_augmented,
     default_pca_components,
@@ -91,10 +92,6 @@ def test_init_state_deterministic_and_zeroed():
     assert a.mu == 1e-4
 
 
-def test_init_state_rejects_oversized_latent_dim():
-    xa = _tiny_aug(np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        init_state(xa, ElmscConfig(lam=1.0, latent_dim=xa.xa.shape[0] + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +496,11 @@ def test_update_j_full_offdiagonal_shrinkage():
     assert np.array_equal(j, diag)
 
 
+def test_block_diagonal_part_rejects_a_matrix_of_another_shape():
+    with pytest.raises(ValueError, match="expected a 6x6 matrix"):
+        block_diagonal_part(np.ones((5, 5)), 2, 3)
+
+
 def test_update_j_matches_entrywise_recomputation():
     rng = np.random.default_rng(17)
     st = random_admm_state(rng, d=6, k=2, v=2, n=3, mu=1.0)
@@ -818,10 +820,12 @@ def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
     monkeypatch.setattr(numerics, "CG_MAX_ITER", 0)
     out, peak = warm_solve_peak(xa, cfg)
     assert len(out.trace) == 3
-    # while T and X - P H were fresh d x vn arrays and the KKT check formed
-    # Y - E / safe whole, this warm run peaked at 2,459,950 bytes, 3.41
-    # d x vn buffers plus 6 vn x vn; it peaks at 1,606,050 bytes, against
-    # 1,494,342 with a Cholesky in place of the eigendecomposition
+    # k = 4 <= vn = 120 < d: the solve runs on X = QR's R, so Y1 and E are
+    # vn x vn and this warm run peaks at about 902,000 bytes. On X itself
+    # it peaked at 1,606,050 bytes, and at 2,459,950 while T and X - P H
+    # were fresh d x vn arrays and the KKT check formed Y - E / safe whole;
+    # the near-square test below guards those row panels unreduced
+    assert out.state.y1.shape == (vn, vn)
     assert peak <= 8.0 * (2 * d * vn + 6 * vn * vn)
 
 
@@ -836,6 +840,23 @@ def test_run_on_a_wide_input_holds_one_d_by_vn_array(monkeypatch):
     assert out.state.y1.shape == (vn, vn)
     # it peaks at 651,208 bytes, against 1,351,320 on X itself
     assert peak <= 8.0 * (d * vn + 6 * vn * vn)
+
+
+def test_run_on_a_near_square_input_forms_no_d_by_vn_temporary(monkeypatch):
+    # d = 270 < vn = 280, so the solve runs on X itself: T, the E step and
+    # the KKT check go by row panels. The warm run peaks at about 4.24
+    # d x vn buffers (2,563,000 bytes); a whole-array T or E-step term
+    # Y1/mu takes it to 4.65 (2,812,000), and a whole-array R1 or KKT gap
+    # Y - E / safe to 5.66 or more
+    ds = gen_synthetic(clusters=2, per_cluster=70, views=2, latent_dim=4,
+                       view_dims=[150, 120], noise_sigma=0.1, seed=1)
+    xa = build_augmented(ds, default_pca_components(2, ds))
+    d, vn = xa.xa.shape
+    fix_iterations(monkeypatch, 3)
+    out, peak = warm_solve_peak(xa, ElmscConfig(lam=0.5, latent_dim=4, seed=2))
+    assert len(out.trace) == 3
+    assert out.state.y1.shape == (d, vn) == (270, 280)
+    assert peak <= 8.0 * 4.45 * d * vn
 
 
 def solve_q(xa, ablation):
@@ -900,6 +921,27 @@ def test_solve_matrix_is_idempotent_and_run_passes_it_through(
         assert np.array_equal(getattr(direct.state, name),
                               getattr(passed.state, name)), name
     assert direct.kkt == passed.kkt
+
+
+@pytest.mark.parametrize("ablation", ["full", "v2"])
+def test_solve_matrix_refuses_k_above_d_before_factoring_or_copying(
+        monkeypatch, ablation):
+    # d = 70 > vn = 36: the one check of k, before the QR that a k <= vn
+    # takes and the block-diagonal copy that v2 makes
+    xa, cfg = shaped_case([40, 30], 2, ablation, **REDUCED)
+    d = xa.xa.shape[0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached past the latent_dim check")
+
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    monkeypatch.setattr(AugmentedMatrix, "block_diagonal", forbidden)
+    cfg = dataclasses.replace(cfg, latent_dim=d + 1)
+    message = f"latent_dim={d + 1} exceeds the stacked feature dimension d={d}"
+    with pytest.raises(ValueError, match=message):
+        solver.solve_matrix(xa, cfg)
+    with pytest.raises(ValueError, match=message):
+        run(xa, cfg)
 
 
 def test_solve_matrix_factors_each_v2_view_on_its_own_block():

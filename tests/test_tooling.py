@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,52 @@ def test_no_package_module_imports_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert not found, found
+
+
+def _top_level_names(tree):
+    """(name, node) of each function, class and assigned name a module
+    defines at its top level, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from ((n.id, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)
+                        and not n.id.startswith("__"))
+
+
+def _references(tree):
+    """Every name `tree` loads, reads as an attribute or imports, and every
+    string constant, which a `TRACED` entry or a monkeypatch may name."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rsplit(".", 1)[-1]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_every_top_level_package_name_is_referenced():
+    # a function, class or constant that no code, test or bench script
+    # names outside its own definition is dead, such as a check whose
+    # callers have all moved to another; names are matched by name alone
+    defined, used = [], Counter()
+    for part in ("src/elmsc", "tests", "bench"):
+        for path in sorted((ROOT / part).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            used.update(_references(tree))
+            if part == "src/elmsc":
+                defined += [(f"{path.stem}.{name}", name, node)
+                            for name, node in _top_level_names(tree)]
+    assert len(defined) > 100
+    unused = [qualified for qualified, name, node in defined
+              if used[name] <= list(_references(node)).count(name)]
+    assert not unused, unused
 
 
 def test_package_modules_build_on_numerics_alone():
