@@ -154,16 +154,16 @@ def cmd_cluster(cfg):
     if cfg.random_params:
         lam, latent_dim = _draw_params(cfg)
         cfg = replace(cfg, lam=lam, latent_dim=latent_dim)
-    return _run_trials(cfg, *_prepare(cfg))[0]
+    return _run_trials(cfg, *_prepare(cfg))
 
 
 def _run_trials(cfg, xa, labels):
-    """cmd_cluster's trials at cfg.lam and cfg.latent_dim; returns the report
-    and the matrix they solved on, `solver.solve_matrix` of `xa`."""
+    """cmd_cluster's trials at cfg.lam and cfg.latent_dim, each on
+    `solver.solve_matrix` of `xa`; returns the report."""
     scfg = solver_mod.ElmscConfig(lam=cfg.lam, latent_dim=cfg.latent_dim,
                                   seed=cfg.seed, ablation=cfg.ablation)
-    # once per run, so payloads carry the vn x vn R, not X, when d > vn >= k,
-    # and before any trial, so that no worker pool starts for a k above d
+    # once per run, so payloads carry the formed matrix (R, not X, when
+    # d > vn >= k), and before any trial, so no pool starts for a k above d
     xa = solver_mod.solve_matrix(xa, scfg)
 
     payloads = [
@@ -199,19 +199,18 @@ def _run_trials(cfg, xa, labels):
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    return report, xa
+    return report
 
 
 def cmd_sweep(cfg):
     """Cartesian sweep over the lambda and latent-dim grids.
 
-    The dataset is prepared once. Each cell runs a full cmd_cluster's
-    trials into its own subdirectory, on the fewest-row matrix an earlier
-    cell solved on (X's R, which `solver.solve_matrix` passes through, so
-    X is factored once) if its k fits that matrix's rows, else on X. A
-    data error aborts the sweep; a failing cell writes no directory, its
-    summary records the error, and the sweep goes on. With random_params
-    one uniformly drawn cell runs instead of the grid. Returns summaries.
+    The dataset is prepared once, and each cell runs a full cmd_cluster's
+    trials on it into its own subdirectory; the matrix keeps X and its
+    views' factors, so each is formed at most once. A data error aborts
+    the sweep; a failing cell writes no directory, its summary records the
+    error, and the sweep goes on. With random_params one uniformly drawn
+    cell runs instead of the grid. Returns summaries.
     """
     if cfg.random_params:
         cells = [_draw_params(cfg)]
@@ -222,7 +221,6 @@ def cmd_sweep(cfg):
         if names.count(name) > 1:
             raise ValueError(f"two grid cells would share the directory {name}")
     xa, labels = _prepare(cfg)
-    solved = xa
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -231,14 +229,12 @@ def cmd_sweep(cfg):
         cell_dir = out_dir / name
         cell = {"lambda": lam, "latent_dim": k}
         cell_cfg = replace(cfg, out=str(cell_dir), lam=lam, latent_dim=k)
-        start = solved if k <= solved.xa.shape[0] else xa
         try:
-            report, matrix = _run_trials(cell_cfg, start, labels)
+            report = _run_trials(cell_cfg, xa, labels)
         except (ValueError, NumericalError, OSError, MemoryError) as exc:
             cell.update(status="failed", error=f"{type(exc).__name__}: {exc}")
             summaries.append(cell)
             continue
-        solved = min(solved, matrix, key=lambda m: m.xa.shape[0])
         cell.update(status="ok", report=str(cell_dir / "report.json"))
         if report["aggregate"] is not None:
             for name, stats in report["aggregate"].items():

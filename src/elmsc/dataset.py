@@ -1,13 +1,16 @@
 """Multi-view data handling: file I/O, cross-view similarity, augmented matrix.
 
 A dataset is a list of view matrices (features x samples, all sharing the
-sample axis). The augmented matrix stacks the raw views on its diagonal
-blocks and similarity-weighted cross-view products off the diagonal.
+sample axis). The augmented matrix forms X from the views by one block
+formula: the raw views on the diagonal blocks, similarity-weighted
+cross-view products elsewhere.
 """
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +24,24 @@ class DatasetError(Exception):
     """A manifest or matrix file could not be loaded as declared."""
 
 
+class _Views:
+    """Shape of a set of views over a shared sample axis, `self.views`."""
+
+    @property
+    def n_views(self):
+        return len(self.views)
+
+    @property
+    def n_samples(self):
+        return self.views[0].shape[1]
+
+    @property
+    def view_dims(self):
+        return tuple(v.shape[0] for v in self.views)
+
+
 @dataclass
-class MultiViewDataset:
+class MultiViewDataset(_Views):
     """v feature matrices over the same n samples, plus optional labels."""
 
     views: list
@@ -49,57 +68,56 @@ class MultiViewDataset:
                     f"labels must have {n} entries, got {self.labels.shape}"
                 )
 
-    @property
-    def n_views(self):
-        return len(self.views)
 
-    @property
-    def n_samples(self):
-        return self.views[0].shape[1]
+@dataclass(frozen=True, eq=False)
+class AugmentedMatrix(_Views):
+    """The d x (v*n) augmented matrix X of v views, formed when `xa` is first
+    read: block row p is views[p] [S(p, 1) ... S(p, v)], S(p, p) = I and
+    S(p, q) the cosine similarity of aligned[p] and aligned[q]. Nones in
+    `aligned` make every S the identity (the test hook), and an empty one
+    every off-diagonal block zero (v2). Block column q starts at column q*n."""
 
-    @property
-    def view_dims(self):
-        return tuple(v.shape[0] for v in self.views)
-
-
-@dataclass(frozen=True)
-class AugmentedMatrix:
-    """Block matrix of shape d x (v*n): raw views on the diagonal blocks,
-    similarity-weighted cross products elsewhere. Block column q starts at
-    column q*n."""
-
-    xa: np.ndarray
-    block_rows: tuple  # row offset of each view block
+    views: tuple
+    aligned: tuple  # the PCA-aligned views, of pca_dim rows each
     pca_dim: int
 
     @property
-    def n_views(self):
-        return len(self.block_rows)
+    def block_rows(self):
+        """Row offset of each view's block row."""
+        return tuple(np.cumsum((0, *self.view_dims[:-1])).tolist())
 
-    @property
-    def n_samples(self):
-        return self.xa.shape[1] // self.n_views
-
-    @property
-    def view_dims(self):
-        bounds = (*self.block_rows, self.xa.shape[0])
-        return tuple(bounds[i + 1] - bounds[i] for i in range(self.n_views))
+    def _index(self, p, q):
+        r0, n = self.block_rows[p], self.n_samples
+        return slice(r0, r0 + self.view_dims[p]), slice(q * n, (q + 1) * n)
 
     def block(self, p, q):
         """The (p, q) block, shape d_p x n."""
-        r0 = self.block_rows[p]
-        r1 = r0 + self.view_dims[p]
-        n = self.n_samples
-        return self.xa[r0:r1, q * n:(q + 1) * n]
+        return self.xa[self._index(p, q)]
 
-    def block_diagonal(self):
-        """A new d x (v*n) matrix holding the diagonal blocks (the raw
-        views) and zeros elsewhere."""
-        out = np.zeros(self.xa.shape, dtype=self.xa.dtype)
-        diagonal = AugmentedMatrix(out, self.block_rows, self.pca_dim)
-        for l in range(self.n_views):
-            diagonal.block(l, l)[...] = self.block(l, l)
+    @cached_property
+    def xa(self):
+        """X, one pair of blocks at a time: at most one n x n S is held."""
+        out = np.zeros((sum(self.view_dims), self.n_views * self.n_samples))
+        for p, x in enumerate(self.views):
+            out[self._index(p, p)] = x
+        for p, q in combinations(range(len(self.aligned)), 2):
+            xp, xq = self.views[p], self.views[q]
+            if self.aligned[p] is not None:
+                s = cosine_similarity(self.aligned[p], self.aligned[q])
+                xp, xq = xp @ s, xq @ s.T
+            out[self._index(p, q)] = xp
+            out[self._index(q, p)] = xq
         return out
+
+    @cached_property
+    def factored(self):
+        """This matrix with each view X_p replaced by the n x n R_p of its
+        QR, X_p = Q_p R_p, padded with zero rows where X_p has fewer than n.
+        X = blockdiag(Q_p) times its `xa`, so both have the same Gram."""
+        n = self.n_samples
+        rs = (np.linalg.qr(x, mode="r") for x in self.views)
+        return replace(self, views=tuple(
+            np.pad(r, ((0, n - len(r)), (0, 0))) for r in rs))
 
 
 def _normalize_columns(x):
@@ -130,7 +148,7 @@ def cosine_similarity(xp, xq):
 
 
 def build_augmented(ds, pca_components, identity_similarity=False):
-    """Assemble the augmented data matrix from a multi-view dataset.
+    """The augmented matrix of a multi-view dataset, X not yet formed.
 
     Views are PCA-aligned to `pca_components` dimensions to make cross-view
     cosine similarity well defined; each off-diagonal block (p, q) is
@@ -144,23 +162,12 @@ def build_augmented(ds, pca_components, identity_similarity=False):
             f"pca_components={pca_components} invalid for this dataset; "
             f"use a value in [1, {limit}]"
         )
-    v, n = ds.n_views, ds.n_samples
-    sim = {}  # S(p, q) for each off-diagonal block, none under the test hook
-    if not identity_similarity and v > 1:
-        aligned = [pca_reduce(x, pca_components) for x in ds.views]
-        for p in range(v):
-            for q in range(p + 1, v):
-                sim[p, q] = cosine_similarity(aligned[p], aligned[q])
-                sim[q, p] = sim[p, q].T
-
-    dims = ds.view_dims
-    row_off = tuple(int(x) for x in np.concatenate([[0], np.cumsum(dims)[:-1]]))
-    aug = AugmentedMatrix(xa=np.empty((sum(dims), v * n)), block_rows=row_off,
-                          pca_dim=pca_components)
-    for p, x in enumerate(ds.views):
-        for q in range(v):
-            aug.block(p, q)[...] = x @ sim[p, q] if (p, q) in sim else x
-    return aug
+    aligned = ()  # a single view has no off-diagonal block
+    if identity_similarity:
+        aligned = (None,) * ds.n_views
+    elif ds.n_views > 1:
+        aligned = tuple(pca_reduce(x, pca_components) for x in ds.views)
+    return AugmentedMatrix(tuple(ds.views), aligned, pca_components)
 
 
 def default_pca_components(clusters, ds):

@@ -11,8 +11,8 @@ I + H.T H is the identity plus a rank-k term), E from the columnwise l2,1
 proximal map, and J from block-diagonal-preserving shrinkage.
 
 `solve_matrix` forms the matrix the loop iterates on (`cli`, once per run):
-X, its block-diagonal part under v2, or when d > vn >= k the vn x vn R of
-its QR. Z, J and Y3 are float32 (see `init_state`); every other iterate, and
+X, or when d > vn >= k its views' QR factors R_p in X's block formula.
+Z, J and Y3 are float32 (see `init_state`); every other iterate, and
 every product whose rounding reaches a multiplier or the stop test, is
 float64. Each step follows its arrays' dtypes: a float64 state runs in float64.
 """
@@ -149,7 +149,7 @@ class SolverOutput:
     """Result of `run`: the final iterate, whose Z is also `z`, and its
     stationarity diagnostics against the matrix and lam the solve used.
     P, E1 and Y1 are in R's coordinates after a solve on X = QR's R (Q P,
-    Q E1, Q Y1 in X's; Q per view under v2); the report holds for X."""
+    Q E1, Q Y1 in X's; Q = blockdiag(Q_p)); the report holds for X."""
 
     z: np.ndarray
     trace: ConvergenceTrace
@@ -446,27 +446,22 @@ def objective(state, lam, v, n):
 
 
 def solve_matrix(xa, cfg):
-    """The matrix `run` iterates on, once a k above xa's d rows is refused
-    (before any factoring or copying): X, or under v2 its block-diagonal
-    part; when d > vn >= k, the vn x vn R of X = QR instead, Q never formed
-    (Liu et al., TPAMI 2013), under v2 one view's R per diagonal block,
-    padded with zero rows (d > vn leaves Q room). Idempotent: R is vn x vn,
-    so a second call returns its argument, or under v2 an equal copy."""
-    (d, vn), n, k = xa.xa.shape, xa.n_samples, cfg.latent_dim
+    """The augmented matrix `run` iterates on, its `xa` formed, once a k
+    above d = sum d_p is refused (before any factoring or forming). When
+    d > vn >= k the views are factored, and X = QR with the vn x vn R and
+    Q = blockdiag(Q_p) never formed (Liu et al., TPAMI 2013; d > vn leaves
+    Q room for padding rows). Under v2 the off-diagonal blocks are dropped.
+    Idempotent: a second call returns its argument."""
+    d, vn, k = sum(xa.view_dims), xa.n_views * xa.n_samples, cfg.latent_dim
     if k > d:
         raise ValueError(
             f"latent_dim={k} exceeds the stacked feature dimension d={d}")
-    v2 = cfg.ablation == "v2"
-    if not k <= vn < d:
-        return replace(xa, xa=xa.block_diagonal()) if v2 else xa
-    if v2:
-        r = np.zeros((vn, vn), xa.xa.dtype)
-        for l in range(xa.n_views):
-            f = np.linalg.qr(xa.block(l, l), mode="r")
-            r[l * n:l * n + len(f), l * n:(l + 1) * n] = f
-    else:
-        r = np.linalg.qr(xa.xa, mode="r")
-    return replace(xa, xa=r, block_rows=tuple(range(0, vn, n)))
+    if k <= vn < d:
+        xa = xa.factored
+    if cfg.ablation == "v2" and xa.aligned:
+        xa = replace(xa, aligned=())
+    xa.xa  # formed here, so that every trial shares it
+    return xa
 
 
 def run(xa, cfg):
@@ -482,7 +477,7 @@ def run(xa, cfg):
     E1's buffer holds T from the P step to the E step, which steps Y1 too.
     Deterministic for a fixed seed.
 
-    When that matrix is the vn x vn R of X = QR: Y1 and E1 start at 0, so
+    When that matrix is the factored R of X = QR: Y1 and E1 start at 0, so
     every d x vn iterate on X stays in range(Q), and as column norms and
     P.T P = I hold under Q.T, H, Z, E2, Y2, J, Y3, the trace and the KKT
     report equal those on X (P is completed freely where H T.T has rank

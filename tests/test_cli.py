@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import tracemalloc
 import warnings
@@ -11,7 +12,9 @@ import pytest
 
 from elmsc import cli
 from elmsc import solver
-from elmsc.dataset import AugmentedMatrix, load_dataset
+from elmsc.dataset import (AugmentedMatrix, build_augmented,
+                           default_pca_components, gen_synthetic,
+                           load_dataset)
 
 TINY_SPEC = {
     "clusters": 2,
@@ -906,20 +909,23 @@ def test_clusters_above_sample_count_refused_before_output_and_trials(
 # trial plumbing
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("ablation,builds", [("full", 0), ("v2", 1)])
+@pytest.mark.parametrize("ablation,builds", [("full", 1), ("v2", 1)])
 def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
                                                       ablation, builds):
-    # run hands kkt_residuals the matrix it solved against, so the v2
-    # block-diagonal copy is not rebuilt for it
-    xa, labels = cli._prepare(tiny_config(tmp_path))
-    calls = []
-    block_diagonal = AugmentedMatrix.block_diagonal
+    # solve_matrix forms the matrix before the first trial, and every
+    # trial's run, and the KKT report it takes, use that matrix as it is
+    cfg = tiny_config(tmp_path, trials=3, ablation=ablation)
+    xa, labels = cli._prepare(cfg)
+    formed = []
+    form = AugmentedMatrix.xa.func
 
     def counting(self):
-        calls.append(self)
-        return block_diagonal(self)
+        formed.append(self)
+        return form(self)
 
-    monkeypatch.setattr(AugmentedMatrix, "block_diagonal", counting)
+    counted = functools.cached_property(counting)
+    counted.__set_name__(AugmentedMatrix, "xa")
+    monkeypatch.setattr(AugmentedMatrix, "xa", counted)
     kkt_data = []
     kkt_residuals = solver.kkt_residuals
 
@@ -928,11 +934,12 @@ def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
         return kkt_residuals(state, xa_mat, *args, **kwargs)
 
     monkeypatch.setattr(solver, "kkt_residuals", recording)
-    scfg = solver.ElmscConfig(lam=1.0, latent_dim=3, ablation=ablation)
-    record, *_ = cli._trial_job((xa, scfg, 2, 0, labels))
-    assert len(calls) == builds
-    assert len(kkt_data) == 1
-    assert (kkt_data[0] is xa.xa) == (ablation == "full")
+    report = cli._run_trials(cfg, xa, labels)
+    assert len(formed) == builds
+    assert (formed[0] is xa) == (ablation == "full")
+    assert len(kkt_data) == 3
+    assert all(mat is formed[0].xa for mat in kkt_data)
+    record = report["trials"][0]
     assert set(record["kkt"]) == {"recon", "selfrep", "aux", "e_gap", "j_gap"}
     assert list(record["metrics"]) == ["acc", "nmi", "ari", "f1"]
 
@@ -941,15 +948,37 @@ WIDE_SPEC = dict(clusters=3, per_cluster=20, views=2, latent_dim=4,
                  view_dims=[600, 480], noise_sigma=0.1, seed=1)
 
 
-@pytest.mark.parametrize("ablation,factors", [("full", 1), ("v2", 2)])
+@pytest.mark.parametrize("ablation", ["full", "v2"])
+def test_wide_solve_matrix_forms_no_d_by_vn_array(ablation):
+    # d = 1080 > vn = 120 >= k = 4: the views are factored one at a time
+    # and X itself is never formed. The peak reads about 607,600 bytes
+    # under both ablations; forming X and factoring it whole took it to
+    # about 2,208,000 (full) and 1,477,000 (v2)
+    data = gen_synthetic(**WIDE_SPEC)
+    scfg = solver.ElmscConfig(lam=1.0, latent_dim=4, ablation=ablation)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        xa = build_augmented(data, default_pca_components(3, data))
+        solved = solver.solve_matrix(xa, scfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    d, vn = 1080, 120
+    assert solved.xa.shape == (vn, vn)
+    assert peak < 8 * d * vn
+
+
+# one QR per view, under every ablation
+@pytest.mark.parametrize("ablation,factors", [("full", 2), ("v2", 2)])
 def test_wide_run_factors_x_once_and_hands_every_trial_r(
         monkeypatch, tmp_path, ablation, factors):
-    # d = 1080 > vn = 120 >= k = 4: the run factors X once (under v2 once
-    # per view), and no trial factors it again or holds a d x vn array
+    # d = 1080 > vn = 120 >= k = 4: the run factors each view once, and no
+    # trial factors it again or holds a d x vn array
     cfg = tiny_config(tmp_path, clusters=3, synthetic=dict(WIDE_SPEC),
                       latent_dim=4, trials=3, ablation=ablation)
     xa, labels = cli._prepare(cfg)
-    d, vn = xa.xa.shape
+    d, vn = sum(xa.view_dims), xa.n_views * xa.n_samples
     factored = []
     qr = np.linalg.qr
 
@@ -967,9 +996,10 @@ def test_wide_run_factors_x_once_and_hands_every_trial_r(
 
     monkeypatch.setattr(np.linalg, "qr", counting)
     monkeypatch.setattr(cli, "_trial_job", recording)
-    report, matrix = cli._run_trials(cfg, xa, labels)
+    report = cli._run_trials(cfg, xa, labels)
     assert len(factored) == factors
     assert len(payloads) == 3
+    matrix = payloads[0][0]
     assert all(p[0] is matrix for p in payloads)
     assert all(p[0].xa.shape == (vn, vn) for p in payloads)
     assert [t["metrics"]["acc"] for t in report["trials"]] == [1.0] * 3
@@ -982,9 +1012,10 @@ def test_wide_run_factors_x_once_and_hands_every_trial_r(
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # about 533,000 (full) and 649,000 (v2) bytes; a full solve on X itself
-    # peaks at about 1,170,000, and a v2 one that factored the d x vn
-    # block-diagonal copy of X whole at about 1,476,000
+    # about 533,000 bytes under both ablations (648,000 under v2 while each
+    # solve copied its block-diagonal R); a full solve on X itself peaks at
+    # about 1,170,000, and a v2 one that factored the d x vn block-diagonal
+    # X whole at about 1,476,000
     assert peak < 8 * d * vn
 
 
@@ -996,13 +1027,13 @@ def artifact_bytes(out):
     return files
 
 
-@pytest.mark.parametrize("ablation,factors", [("full", 1), ("v2", 2)])
+@pytest.mark.parametrize("ablation,factors", [("full", 2), ("v2", 2)])
 def test_wide_sweep_factors_x_once_and_hands_r_to_every_cell_it_fits(
         monkeypatch, tmp_path, ablation, factors):
-    # d = 1080 > vn = 120: the first cell with k <= vn factors X (under v2
-    # once per view), every later such cell is handed that R, and a cell
-    # with k = 130 > vn solves on X; each cell's artifacts are those of a
-    # cluster run of its own
+    # d = 1080 > vn = 120: the first cell with k <= vn factors each view,
+    # which the prepared matrix keeps, every later such cell solves on those
+    # factors, and a cell with k = 130 > vn solves on X; each cell's
+    # artifacts are those of a cluster run of its own
     cfg = tiny_config(tmp_path, clusters=3, synthetic=dict(WIDE_SPEC),
                       ablation=ablation, lambda_grid=(1.0, 10.0),
                       k_grid=(4, 8, 130))

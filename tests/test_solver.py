@@ -337,11 +337,11 @@ def counting_cg(monkeypatch):
 
 
 def dense_k8_aug(scale=1.0):
-    """The dense-k8 benchmark data: vn = 600, d = 108."""
+    """The dense-k8 benchmark data, its views scaled: vn = 600, d = 108."""
     ds = gen_synthetic(clusters=5, per_cluster=40, views=3, latent_dim=8,
                        view_dims=[40, 32, 36], noise_sigma=0.05, seed=0)
     xa = build_augmented(ds, default_pca_components(5, ds))
-    return dataclasses.replace(xa, xa=xa.xa * scale)
+    return dataclasses.replace(xa, views=tuple(x * scale for x in xa.views))
 
 
 @pytest.mark.parametrize("k", [8, 10])
@@ -649,10 +649,17 @@ def test_run_mu_monotone_and_bounded():
     assert mus[-1] <= solver.MU_MAX
 
 
+def unreduced(xa, ablation):
+    """X itself, never its views' factors, under v2 without its
+    off-diagonal blocks."""
+    return (dataclasses.replace(xa, aligned=()) if ablation == "v2"
+            else xa).xa
+
+
 def unfused_run(xa, cfg):
     """Reference loop: the standalone updates in the order P, H, Z, E, J, each
     forming its own terms, with no shared arguments and no reused buffers."""
-    mat = xa.block_diagonal() if cfg.ablation == "v2" else xa.xa
+    mat = unreduced(xa, cfg.ablation)
     v, n = xa.n_views, xa.n_samples
     lam = cfg.effective_lam
     st = init_state(xa, cfg)
@@ -820,8 +827,9 @@ def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
     monkeypatch.setattr(numerics, "CG_MAX_ITER", 0)
     out, peak = warm_solve_peak(xa, cfg)
     assert len(out.trace) == 3
-    # k = 4 <= vn = 120 < d: the solve runs on X = QR's R, so Y1 and E are
-    # vn x vn and this warm run peaks at about 902,000 bytes. On X itself
+    # k = 4 <= vn = 120 < d: the solve runs on the views' factors, so Y1
+    # and E are vn x vn and this warm run peaks at 786,234 bytes (901,906
+    # when each solve took the QR of the whole X). On X itself
     # it peaked at 1,606,050 bytes, and at 2,459,950 while T and X - P H
     # were fresh d x vn arrays and the KKT check formed Y - E / safe whole;
     # the near-square test below guards those row panels unreduced
@@ -829,17 +837,18 @@ def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
     assert peak <= 8.0 * (2 * d * vn + 6 * vn * vn)
 
 
-def test_run_on_a_wide_input_holds_one_d_by_vn_array(monkeypatch):
-    # the solve on R holds every iterate at vn rows, so beside X its one
-    # d x vn array is the QR's copy of X
+def test_run_on_a_wide_input_holds_no_d_by_vn_array(monkeypatch):
+    # the solve on the views' factors holds every iterate at vn rows, and
+    # the matrix keeps those factors, so a warm solve forms no d x vn array
     xa = wide_aug()
-    d, vn = xa.xa.shape
+    vn = xa.n_views * xa.n_samples
     fix_iterations(monkeypatch, 3)
     out, peak = warm_solve_peak(xa, ElmscConfig(lam=0.5, latent_dim=4, seed=2))
     assert len(out.trace) == 3
     assert out.state.y1.shape == (vn, vn)
-    # it peaks at 651,208 bytes, against 1,351,320 on X itself
-    assert peak <= 8.0 * (d * vn + 6 * vn * vn)
+    # it peaks at 531,440 bytes, against 651,240 when each solve took the
+    # QR of the whole X, and 1,351,320 on X itself
+    assert peak <= 8.0 * 5 * vn * vn
 
 
 def test_run_on_a_near_square_input_forms_no_d_by_vn_temporary(monkeypatch):
@@ -859,16 +868,14 @@ def test_run_on_a_near_square_input_forms_no_d_by_vn_temporary(monkeypatch):
     assert peak <= 8.0 * 4.45 * d * vn
 
 
-def solve_q(xa, ablation):
-    """The Q of X = QR that `solve_matrix` factors without forming it:
-    under v2 the block-diagonal of each view's own Q (each view has at
-    least n rows here, so no padding column is needed)."""
-    if ablation != "v2":
-        return np.linalg.qr(xa.xa)[0]
-    q = np.zeros(xa.xa.shape)
+def solve_q(xa):
+    """The Q = blockdiag(Q_p) of X = QR that `solve_matrix` factors without
+    forming it, under every ablation (each view has at least n rows here,
+    so no padding column is needed)."""
     n = xa.n_samples
-    for l, r0 in enumerate(xa.block_rows):
-        ql = np.linalg.qr(xa.block(l, l))[0]
+    q = np.zeros((sum(xa.view_dims), xa.n_views * n))
+    for l, (r0, view) in enumerate(zip(xa.block_rows, xa.views)):
+        ql = np.linalg.qr(view)[0]
         q[r0:r0 + len(ql), l * n:l * n + ql.shape[1]] = ql
     return q
 
@@ -876,9 +883,9 @@ def solve_q(xa, ablation):
 @pytest.mark.parametrize("ablation", ["full", "v2"])
 def test_reduced_state_lifted_by_q_has_the_reported_kkt_gaps(ablation):
     xa, cfg = shaped_case([40, 30], 2, ablation, **REDUCED)
-    mat = xa.block_diagonal() if ablation == "v2" else xa.xa
+    mat = unreduced(xa, ablation)
     out = run(xa, cfg)
-    q = solve_q(xa, ablation)
+    q = solve_q(xa)
     lifted = dataclasses.replace(out.state, p=q @ out.state.p,
                                  e1=q @ out.state.e1, y1=q @ out.state.y1)
     kkt = kkt_residuals(lifted, mat, cfg.effective_lam,
@@ -908,7 +915,7 @@ def test_solve_matrix_is_idempotent_and_run_passes_it_through(
     twice = solver.solve_matrix(once, cfg)
     reduced = bool(spec)  # d > vn >= k
     assert once.xa.shape[0] == (xa.xa.shape[1] if reduced else xa.xa.shape[0])
-    assert (twice is once) == (ablation != "v2")
+    assert twice is once
     assert (once is xa) == (ablation != "v2" and not reduced)
     assert np.array_equal(twice.xa, once.xa)
     assert twice.block_rows == once.block_rows
@@ -927,15 +934,15 @@ def test_solve_matrix_is_idempotent_and_run_passes_it_through(
 def test_solve_matrix_refuses_k_above_d_before_factoring_or_copying(
         monkeypatch, ablation):
     # d = 70 > vn = 36: the one check of k, before the QR that a k <= vn
-    # takes and the block-diagonal copy that v2 makes
+    # takes and before any matrix is formed
     xa, cfg = shaped_case([40, 30], 2, ablation, **REDUCED)
-    d = xa.xa.shape[0]
+    d = sum(xa.view_dims)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("reached past the latent_dim check")
 
     monkeypatch.setattr(np.linalg, "qr", forbidden)
-    monkeypatch.setattr(AugmentedMatrix, "block_diagonal", forbidden)
+    monkeypatch.setattr(AugmentedMatrix, "xa", property(forbidden))
     cfg = dataclasses.replace(cfg, latent_dim=d + 1)
     message = f"latent_dim={d + 1} exceeds the stacked feature dimension d={d}"
     with pytest.raises(ValueError, match=message):
@@ -944,16 +951,18 @@ def test_solve_matrix_refuses_k_above_d_before_factoring_or_copying(
         run(xa, cfg)
 
 
-def test_solve_matrix_factors_each_v2_view_on_its_own_block():
-    # view 2 has 12 rows for 30 samples: its factor fills 12 of its block's
-    # 30 rows, and R.T R = X.T X for the block-diagonal X
-    xa, cfg = shaped_case([80, 12], 2, "v2", **PADDED)
-    r = solver.solve_matrix(xa, cfg).xa
-    n, mat = xa.n_samples, xa.block_diagonal()
-    assert r.shape == (2 * n, 2 * n)
-    assert np.array_equal(r, block_diagonal_part(r, 2, n))
-    assert not r[n + 12:].any()
-    assert_allclose(r.T @ r, mat.T @ mat, atol=1e-12 * np.abs(mat).max() ** 2)
+@pytest.mark.parametrize("ablation", ["full", "v2"])
+def test_solve_matrix_factors_each_view_on_its_own_block(ablation):
+    # view 2 has 12 rows for 30 samples: its factor fills 12 of its block
+    # row's 30 rows, and Y.T Y = X.T X, under v2 for the block-diagonal X
+    xa, cfg = shaped_case([80, 12], 2, ablation, **PADDED)
+    y = solver.solve_matrix(xa, cfg).xa
+    n, mat = xa.n_samples, unreduced(xa, ablation)
+    assert y.shape == (2 * n, 2 * n)
+    if ablation == "v2":
+        assert np.array_equal(y, block_diagonal_part(y, 2, n))
+    assert not y[n + 12:].any()
+    assert_allclose(y.T @ y, mat.T @ mat, atol=1e-12 * np.abs(mat).max() ** 2)
 
 
 def test_run_solves_unreduced_when_k_exceeds_vn():
@@ -1045,7 +1054,7 @@ def test_run_divergence_is_numerical_error_naming_iteration():
     # an input this large overflows H H.T in the first Z step; the finiteness
     # guard must surface as a NumericalError (CLI exit 3), not a ValueError
     _, xa = noiseless_two_cluster_aug()
-    big = dataclasses.replace(xa, xa=xa.xa * 1e160)
+    big = dataclasses.replace(xa, views=tuple(x * 1e160 for x in xa.views))
     with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
         run(big, ElmscConfig(lam=1.0, latent_dim=4, seed=0))
     assert not isinstance(info.value, ValueError)
@@ -1068,12 +1077,13 @@ def test_run_divergence_on_the_cg_h_step_is_numerical_error(monkeypatch):
 
 def test_run_keeps_p_orthonormal_on_rank_deficient_procrustes_input(
         monkeypatch):
-    # a rank-1 X keeps H T.T rank-deficient at every iteration
-    _, xa = noiseless_two_cluster_aug()
+    # a rank-1 X keeps H T.T rank-deficient at every iteration: every view
+    # is a multiple of one row b, and every S the identity
     rng = np.random.default_rng(0)
-    d, vn = xa.xa.shape
-    low = dataclasses.replace(xa, xa=np.outer(rng.standard_normal(d),
-                                              rng.standard_normal(vn)))
+    b = rng.standard_normal(20)
+    ds = MultiViewDataset(views=[np.outer(rng.standard_normal(dp), b)
+                                 for dp in (8, 6)])
+    low = build_augmented(ds, 1, identity_similarity=True)
     cfg = ElmscConfig(lam=1.0, latent_dim=4, seed=0)
     fix_iterations(monkeypatch, 5)
     out = run(low, cfg)
@@ -1223,7 +1233,7 @@ def test_run_reports_kkt_against_the_matrix_and_lam_it_solved_with(
     cfg = ElmscConfig(lam=1.0, latent_dim=4, seed=13, ablation=ablation)
     fix_iterations(monkeypatch, 2)
     out = run(xa, cfg)
-    mat = xa.block_diagonal() if ablation == "v2" else xa.xa
+    mat = unreduced(xa, ablation)
     assert out.kkt == kkt_residuals(out.state, mat, cfg.effective_lam,
                                     xa.n_views, xa.n_samples)
 

@@ -284,12 +284,17 @@ def test_no_package_module_imports_scipy():
     assert not found, found
 
 
-def _top_level_names(tree):
+def _defined_names(tree):
     """(name, node) of each function, class and assigned name a module
-    defines at its top level, dunders aside."""
+    defines at its top level, and of each method and property of its
+    classes, dunders aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("__"))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
@@ -313,18 +318,20 @@ def _references(tree):
 
 
 def test_every_top_level_package_name_is_referenced():
-    # a function, class or constant that no code, test or bench script
-    # names outside its own definition is dead, such as a check whose
-    # callers have all moved to another; names are matched by name alone
+    # a function, class, method or constant that no code, test or bench
+    # script names outside its own definition is dead, such as a check
+    # whose callers have all moved to another; names are matched by name
+    # alone, a method's without its class
     defined, used = [], Counter()
     for part in ("src/elmsc", "tests", "bench"):
         for path in sorted((ROOT / part).rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
             used.update(_references(tree))
             if part == "src/elmsc":
-                defined += [(f"{path.stem}.{name}", name, node)
-                            for name, node in _top_level_names(tree)]
+                defined += [(f"{path.stem}.{name}", name.split(".")[-1], node)
+                            for name, node in _defined_names(tree)]
     assert len(defined) > 100
+    assert sum(name.count(".") == 2 for name, _, _ in defined) > 10  # methods
     unused = [qualified for qualified, name, node in defined
               if used[name] <= list(_references(node)).count(name)]
     assert not unused, unused
