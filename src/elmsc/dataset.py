@@ -110,6 +110,11 @@ class AugmentedMatrix(_Views):
         return out
 
     @cached_property
+    def v2(self):
+        """This matrix with its off-diagonal blocks dropped, as v2 solves."""
+        return replace(self, aligned=())
+
+    @cached_property
     def factored(self):
         """This matrix with each view X_p replaced by the n x n R_p of its
         QR, X_p = Q_p R_p, padded with zero rows where X_p has fewer than n.

@@ -18,7 +18,7 @@ float64. Each step follows its arrays' dtypes: a float64 state runs in float64.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -459,7 +459,7 @@ def solve_matrix(xa, cfg):
     if k <= vn < d:
         xa = xa.factored
     if cfg.ablation == "v2" and xa.aligned:
-        xa = replace(xa, aligned=())
+        xa = xa.v2
     xa.xa  # formed here, so that every trial shares it
     return xa
 

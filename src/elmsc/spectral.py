@@ -47,76 +47,89 @@ def spectral_embed(w, c):
     return np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
 
 
-def _greedy_seed(points, c, rng):
-    """Distance-weighted (k-means++ style) seeding with greedy candidate
-    selection; ties and degenerate weights resolve deterministically."""
-    n = points.shape[0]
-    centers = np.empty((c, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    n_candidates = 2 + int(np.log(c))
-    for i in range(1, c):
-        total = d2.sum()
-        if total <= 0:
-            # all points already coincide with chosen centers
-            centers[i] = points[int(rng.integers(n))]
-            continue
-        cand = rng.choice(n, size=n_candidates, p=d2 / total)
-        best_j, best_pot = None, np.inf
-        for jdx in cand:
-            pot = np.minimum(d2, ((points - points[jdx]) ** 2).sum(axis=1)).sum()
-            if pot < best_pot:
-                best_pot, best_j = pot, int(jdx)
-        centers[i] = points[best_j]
-        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
-    return centers
+def _sqdist(a, points):
+    """Squared distances (..., m, n) from the rows of a (..., m, f) to the n
+    points, summed one feature at a time: no (..., m, n, f) temporary."""
+    d2 = np.zeros(a.shape[:-1] + (len(points),))
+    diff = np.empty_like(d2)
+    for j, pj in enumerate(points.T):
+        d2 += np.square(np.subtract(pj, a[..., j, None], out=diff), out=diff)
+    return d2
+
+
+def _greedy_seed(points, c, rngs):
+    """Greedy distance-weighted (k-means++) seeding, shape (restarts, c, f):
+    one restart per generator, all at once, each drawing as it would alone;
+    ties and zero weights resolve deterministically."""
+    n, rows, n_cand = len(points), np.arange(len(rngs)), 2 + int(np.log(c))
+    picks = [np.array([rng.integers(n) for rng in rngs])]
+    d2 = _sqdist(points[picks[0], None], points)[:, 0]
+    for _ in range(1, c):
+        total = d2.sum(axis=1)
+        with np.errstate(invalid="ignore"):  # a zero-weight row is not read
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        # rng.choice(n, n_cand, p=d2[r] / total[r]) by numpy's own rule; a
+        # restart whose points all coincide with its centers draws one point
+        cand = np.array([cdf[r].searchsorted(rng.random(n_cand), "right")
+                         if total[r] > 0 else np.full(n_cand, rng.integers(n))
+                         for r, rng in enumerate(rngs)])
+        # candidate potentials; argmin takes the first-drawn of equal ones
+        d2s = np.minimum(d2[:, None], _sqdist(points[cand], points))
+        best = d2s.sum(axis=2).argmin(axis=1)
+        picks.append(cand[rows, best])
+        d2 = d2s[rows, best]
+    return points[np.stack(picks, axis=1)]
 
 
 def _lloyd(points, centers):
-    n, c = points.shape[0], centers.shape[0]
-    labels = np.full(n, -1)
+    """Lloyd passes on all restarts' centers (restarts, c, f) at once, in place,
+    each until a pass keeps its labels; returns them, shape (restarts, n)."""
+    n, c = len(points), centers.shape[1]
+    labels, live = np.full((len(centers), n), -1), np.arange(len(centers))
     for _ in range(_LLOYD_CAP):
-        # argmin breaks ties toward the lowest centroid index
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        for k in range(c):
-            mask = new_labels == k
-            if mask.any():
-                centers[k] = points[mask].mean(axis=0)
-            else:
-                # revive an empty cluster at the point farthest from its
-                # centroid whose own cluster keeps another member
-                kept = np.bincount(new_labels, minlength=c)[new_labels] > 1
-                own = d2[np.arange(n), new_labels]
-                far = int(np.where(kept, own, -1.0).argmax())
-                centers[k] = points[far]
-                new_labels[far] = k
-        if np.array_equal(new_labels, labels):
+        d2 = _sqdist(centers[live], points)
+        new = d2.argmin(axis=1)  # ties go to the lowest centroid index
+        offset = c * np.arange(len(live))[:, None]
+        counts = np.bincount((new + offset).ravel(), minlength=len(live) * c)
+        counted = new.copy()  # the cluster whose mean each point joins
+        for r, k in np.argwhere(counts.reshape(-1, c) == 0):
+            # revive an empty cluster on the point farthest from its centroid
+            # whose cluster keeps another member; means go in index order, so
+            # a lower-indexed cluster's mean still counts that point
+            lab = new[r]
+            kept = np.bincount(lab, minlength=c)[lab] > 1
+            far = int(np.where(kept, d2[r, lab, np.arange(n)], -1.0).argmax())
+            counted[r, far], lab[far] = min(k, lab[far]), k
+        # each mean sums its members in index order, as a row mean does
+        flat = (counted + offset).ravel()
+        counts = np.maximum(np.bincount(flat, minlength=len(counts)), 1)
+        centers[live] = np.stack([np.bincount(flat, w, len(counts)) / counts
+                                  for w in np.tile(points.T, len(live))], -1
+                                 ).reshape(len(live), c, -1)
+        r, far = np.nonzero(counted != new)
+        centers[live[r], new[r, far]] = points[far]
+        done = (new == labels[live]).all(axis=1)
+        labels[live] = new
+        live = live[~done]
+        if not live.size:
             break
-        labels = new_labels
-    inertia = float(((points - centers[labels]) ** 2).sum())
-    return labels, inertia
+    return labels
 
 
 def kmeans(points, c, seed=0):
-    """Best-of-`_RESTARTS` Lloyd clustering, deterministic for a fixed seed.
-
-    Each restart draws its own derived seed; the run with the lowest inertia
-    wins, ties going to the lowest restart index.
-    """
+    """Best-of-`_RESTARTS` Lloyd clustering, deterministic for a fixed seed:
+    the restarts run as one batch, each drawing from its own derived seed,
+    and the lowest inertia wins, ties going to the lowest restart index."""
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if c > n:
-        raise ValueError(f"cannot form {c} clusters from {n} points")
-    best_labels, best_inertia = None, np.inf
-    for r in range(_RESTARTS):
-        rng = rng_from(seed, r)
-        centers = _greedy_seed(points, c, rng)
-        labels, inertia = _lloyd(points, centers)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels, best_inertia
+    if c > len(points):
+        raise ValueError(f"cannot form {c} clusters from {len(points)} points")
+    centers = _greedy_seed(points, c, [rng_from(seed, r) for r in range(_RESTARTS)])
+    labels = _lloyd(points, centers)
+    inertia = [float(((points - m[lab]) ** 2).sum())
+               for m, lab in zip(centers, labels)]
+    best = int(np.argmin(inertia))
+    return labels[best], inertia[best]
 
 
 def cluster(zhat, c, seed=0):
@@ -124,8 +137,4 @@ def cluster(zhat, c, seed=0):
     # the n x n affinity is not kept past the embedding
     f = spectral_embed(affinity(zhat), c)
     labels, inertia = kmeans(f, c, seed=seed)
-    return ClusteringResult(
-        labels=labels,
-        embedding=f,
-        kmeans_inertia=inertia,
-    )
+    return ClusteringResult(labels=labels, embedding=f, kmeans_inertia=inertia)

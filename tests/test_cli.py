@@ -909,13 +909,9 @@ def test_clusters_above_sample_count_refused_before_output_and_trials(
 # trial plumbing
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("ablation,builds", [("full", 1), ("v2", 1)])
-def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
-                                                      ablation, builds):
-    # solve_matrix forms the matrix before the first trial, and every
-    # trial's run, and the KKT report it takes, use that matrix as it is
-    cfg = tiny_config(tmp_path, trials=3, ablation=ablation)
-    xa, labels = cli._prepare(cfg)
+def record_formations(monkeypatch):
+    """The list that every later formation of an `AugmentedMatrix.xa`
+    appends its matrix to."""
     formed = []
     form = AugmentedMatrix.xa.func
 
@@ -926,6 +922,17 @@ def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
     counted = functools.cached_property(counting)
     counted.__set_name__(AugmentedMatrix, "xa")
     monkeypatch.setattr(AugmentedMatrix, "xa", counted)
+    return formed
+
+
+@pytest.mark.parametrize("ablation,builds", [("full", 1), ("v2", 1)])
+def test_trial_builds_the_solved_matrix_at_most_once(monkeypatch, tmp_path,
+                                                      ablation, builds):
+    # solve_matrix forms the matrix before the first trial, and every
+    # trial's run, and the KKT report it takes, use that matrix as it is
+    cfg = tiny_config(tmp_path, trials=3, ablation=ablation)
+    xa, labels = cli._prepare(cfg)
+    formed = record_formations(monkeypatch)
     kkt_data = []
     kkt_residuals = solver.kkt_residuals
 
@@ -1017,6 +1024,23 @@ def test_wide_run_factors_x_once_and_hands_every_trial_r(
     # about 1,170,000, and a v2 one that factored the d x vn block-diagonal
     # X whole at about 1,476,000
     assert peak < 8 * d * vn
+
+
+@pytest.mark.parametrize("ablation", ["full", "v2"])
+def test_wide_sweep_forms_each_solve_matrix_once(monkeypatch, tmp_path,
+                                                 ablation):
+    # the 2 x 3 sweep solves on the views' factors (k = 4, 8) and on X
+    # (k = 130), or on their v2 forms, each formed once: v2's form is kept
+    # on its matrix as the factors are, where each v2 cell once formed its
+    # own, 6 in all
+    cfg = tiny_config(tmp_path, clusters=3, synthetic=dict(WIDE_SPEC),
+                      ablation=ablation, lambda_grid=(1.0, 10.0),
+                      k_grid=(4, 8, 130))
+    formed = record_formations(monkeypatch)
+    cells = cli.cmd_sweep(cfg)
+    assert [c["status"] for c in cells] == ["ok"] * 6
+    assert [m.xa.shape for m in formed] == [(120, 120), (1080, 120)]
+    assert all(bool(m.aligned) == (ablation == "full") for m in formed)
 
 
 def artifact_bytes(out):

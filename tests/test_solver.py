@@ -815,26 +815,26 @@ def wide_aug():
     return build_augmented(ds, default_pca_components(3, ds))
 
 
-def test_run_holds_two_d_by_vn_arrays_on_a_wide_input(monkeypatch):
-    # beside X a solve holds two d x vn arrays, Y1 and the stacked E, and at
-    # most Z, J, Y3, B and B's eigenvectors, in float32 and as a float64
-    # copy, among vn x vn ones; a CG cap of 0 makes every H step the dense
-    # one, which forms them
+def test_run_dense_h_step_on_a_wide_input_stays_within_seven_vn2_buffers(
+        monkeypatch):
+    # k = 4 <= vn = 120 < d = 540: the solve runs on the views' factors, so
+    # Y1 and E are vn x vn, and beside them it holds at most Z, J, Y3, B and
+    # B's eigenvectors, in float32 and as a float64 copy; a CG cap of 0 makes
+    # every H step the dense one, which forms them. This warm run peaks at
+    # 786,266 bytes, 6.83 vn x vn float64 buffers (901,906 when each solve
+    # took the QR of the whole X). On X itself it peaked at 1,606,050 bytes,
+    # and at 2,459,950 while T and X - P H were fresh d x vn arrays and the
+    # KKT check formed Y - E / safe whole; the near-square test below guards
+    # those row panels unreduced
     xa = wide_aug()
-    d, vn = xa.xa.shape  # d = 540 = 4.5 vn
+    vn = xa.n_views * xa.n_samples
     cfg = ElmscConfig(lam=0.5, latent_dim=4, seed=2)
     fix_iterations(monkeypatch, 3)
     monkeypatch.setattr(numerics, "CG_MAX_ITER", 0)
     out, peak = warm_solve_peak(xa, cfg)
     assert len(out.trace) == 3
-    # k = 4 <= vn = 120 < d: the solve runs on the views' factors, so Y1
-    # and E are vn x vn and this warm run peaks at 786,234 bytes (901,906
-    # when each solve took the QR of the whole X). On X itself
-    # it peaked at 1,606,050 bytes, and at 2,459,950 while T and X - P H
-    # were fresh d x vn arrays and the KKT check formed Y - E / safe whole;
-    # the near-square test below guards those row panels unreduced
     assert out.state.y1.shape == (vn, vn)
-    assert peak <= 8.0 * (2 * d * vn + 6 * vn * vn)
+    assert peak <= 8.0 * 7 * vn * vn
 
 
 def test_run_on_a_wide_input_holds_no_d_by_vn_array(monkeypatch):

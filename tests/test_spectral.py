@@ -1,12 +1,17 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elmsc import cli
+from elmsc import cli, solver
+from elmsc.dataset import build_augmented, default_pca_components, gen_synthetic
+from elmsc.numerics import rng_from
 from elmsc.spectral import (
+    _LLOYD_CAP,
+    _RESTARTS,
     affinity,
     cluster,
     kmeans,
@@ -161,12 +166,9 @@ def test_kmeans_rejects_too_many_clusters():
 
 def test_kmeans_lloyd_inertia_monotone():
     # replicate the assignment/update cycle and check inertia never rises
-    from elmsc.spectral import _greedy_seed
-    from elmsc.numerics import rng_from
-
     rng = np.random.default_rng(10)
     points = rng.standard_normal((40, 3))
-    centers = _greedy_seed(points, 5, rng_from(3, 0))
+    centers = reference_greedy_seed(points, 5, rng_from(3, 0))
     prev = np.inf
     for _ in range(50):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -185,6 +187,161 @@ def test_kmeans_lloyd_inertia_monotone():
         if np.allclose(new_centers, centers):
             break
         centers = new_centers
+
+
+# ---------------------------------------------------------------------------
+# kmeans: the one-restart-at-a-time program it batches, kept as a reference
+# ---------------------------------------------------------------------------
+
+def reference_greedy_seed(points, c, rng):
+    """Distance-weighted (k-means++ style) seeding with greedy candidate
+    selection; ties and degenerate weights resolve deterministically."""
+    n = points.shape[0]
+    centers = np.empty((c, points.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    n_candidates = 2 + int(np.log(c))
+    for i in range(1, c):
+        total = d2.sum()
+        if total <= 0:
+            # all points already coincide with chosen centers
+            centers[i] = points[int(rng.integers(n))]
+            continue
+        cand = rng.choice(n, size=n_candidates, p=d2 / total)
+        best_j, best_pot = None, np.inf
+        for jdx in cand:
+            pot = np.minimum(d2, ((points - points[jdx]) ** 2).sum(axis=1)).sum()
+            if pot < best_pot:
+                best_pot, best_j = pot, int(jdx)
+        centers[i] = points[best_j]
+        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+    return centers
+
+
+def reference_lloyd(points, centers):
+    n, c = points.shape[0], centers.shape[0]
+    labels = np.full(n, -1)
+    for _ in range(_LLOYD_CAP):
+        # argmin breaks ties toward the lowest centroid index
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        for k in range(c):
+            mask = new_labels == k
+            if mask.any():
+                centers[k] = points[mask].mean(axis=0)
+            else:
+                # revive an empty cluster at the point farthest from its
+                # centroid whose own cluster keeps another member
+                kept = np.bincount(new_labels, minlength=c)[new_labels] > 1
+                own = d2[np.arange(n), new_labels]
+                far = int(np.where(kept, own, -1.0).argmax())
+                centers[k] = points[far]
+                new_labels[far] = k
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    inertia = float(((points - centers[labels]) ** 2).sum())
+    return labels, inertia
+
+
+def reference_kmeans(points, c, seed):
+    best_labels, best_inertia = None, np.inf
+    for r in range(_RESTARTS):
+        centers = reference_greedy_seed(points, c, rng_from(seed, r))
+        labels, inertia = reference_lloyd(points, centers)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels, best_inertia
+
+
+def assert_matches_reference(points, c, seeds):
+    for seed in seeds:
+        labels, inertia = kmeans(points, c, seed=seed)
+        ref_labels, ref_inertia = reference_kmeans(points, c, seed)
+        assert np.array_equal(labels, ref_labels), seed
+        assert inertia == ref_inertia, seed
+
+
+@pytest.fixture(scope="module", params=["dense-k8", "wide-manifest"])
+def solved_embedding(request):
+    # the NJW embedding of a solve at a bench workload's shape: dense-k8
+    # (vn = 600, d = 108, k = 8) and wide-manifest (vn = 450, d = 2304,
+    # k = 30), whose data reach the bench through text files
+    spec, k = {
+        "dense-k8": ({"clusters": 5, "per_cluster": 40, "views": 3,
+                      "latent_dim": 8, "view_dims": [40, 32, 36],
+                      "noise_sigma": 0.05, "seed": 0}, 8),
+        "wide-manifest": ({"clusters": 10, "per_cluster": 15, "views": 3,
+                           "latent_dim": 30, "view_dims": [1024, 512, 768],
+                           "noise_sigma": 0.1, "seed": 0}, 30),
+    }[request.param]
+    ds = gen_synthetic(**spec)
+    cfg = solver.ElmscConfig(lam=1.0, latent_dim=k, seed=1)
+    xa = solver.solve_matrix(
+        build_augmented(ds, default_pca_components(spec["clusters"], ds)), cfg)
+    with np.errstate(all="ignore"):
+        out = solver.run(xa, cfg)
+    zhat = solver.aggregate_z(out.z, xa.n_views, xa.n_samples)
+    return spectral_embed(affinity(zhat), spec["clusters"]), spec["clusters"]
+
+
+def test_kmeans_matches_the_one_restart_program_on_solved_embeddings(
+        solved_embedding):
+    points, c = solved_embedding
+    assert_matches_reference(points, c, range(4))
+
+
+@pytest.mark.parametrize("n, c, f", [(60, 4, 2), (90, 6, 6), (150, 10, 10),
+                                     (120, 12, 7), (40, 9, 20)])
+def test_kmeans_matches_the_one_restart_program_on_random_points(n, c, f):
+    # a mean over a single feature is summed pairwise by numpy, so at f = 1
+    # the reference's inertia can differ in its last bits; the pipeline's
+    # embedding has f = c columns, and c = 1 labels every point alike
+    rng = np.random.default_rng(n + c + f)
+    points = rng.standard_normal((n, f))
+    points[: n // 4] = points[n // 4: 2 * (n // 4)]  # coincident pairs
+    assert_matches_reference(points, c, range(3))
+
+
+@pytest.mark.parametrize("points, c", [
+    (np.zeros((6, 2)), 2),
+    (np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 3),
+    (np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), 3),
+], ids=["all-coincide", "distinct-last", "distinct-first"])
+def test_kmeans_matches_the_one_restart_program_on_coincident_points(points, c):
+    # these reach the zero-weight seeding branch and the empty-cluster revival
+    assert_matches_reference(points, c, range(5))
+
+
+@pytest.mark.parametrize("n, c, distinct", [(40, 8, 4), (60, 12, 7),
+                                            (90, 10, 9)])
+def test_kmeans_matches_the_one_restart_program_with_fewer_points_than_c(
+        n, c, distinct):
+    # fewer distinct points than clusters: clusters empty on most passes,
+    # and revived points leave clusters whose means come before and after
+    rng = np.random.default_rng(n + c)
+    points = rng.standard_normal((distinct, 3))[rng.integers(distinct, size=n)]
+    assert_matches_reference(points, c, [0])
+
+
+def test_kmeans_batch_forms_no_four_way_broadcast():
+    # c = 40, n = 400 (ORL's shape): the batch peaks at about 4.4 MB against
+    # 5.4 MB one restart at a time; a restarts x n x c x f broadcast of the
+    # distances peaked at about 55 MB
+    rng = np.random.default_rng(40)
+    centers = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    points = centers[np.arange(400) % 40] + 0.3 * rng.standard_normal((400, 40))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        labels, _ = kmeans(points, 40, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(set(labels.tolist())) == 40
+    assert peak <= 8_000_000
 
 
 # ---------------------------------------------------------------------------

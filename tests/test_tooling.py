@@ -14,6 +14,7 @@ import numpy as np
 import elmsc
 import elmsc.numerics as numerics
 import elmsc.solver as solver
+import elmsc.spectral as spectral
 from elmsc import cli
 from elmsc.dataset import build_augmented, gen_synthetic
 from elmsc.solver import ElmscConfig
@@ -60,13 +61,10 @@ def test_traced_benchmark_attributes_resolve():
     assert not missing, missing
 
 
-def test_run_calls_every_traced_solver_layer_through_its_attribute(monkeypatch):
-    # the traced benchmark sees a layer only when `run` calls it through the
-    # module attribute; a layer inlined into `run` would silently read 0 s
-    traced = load_traced()
-    attrs = {attr for module, attr, _ in traced.TRACED if module is solver}
-    assert attrs == set(PER_ITERATION) | {"run", "kkt_residuals"}
-    calls = dict.fromkeys(PER_ITERATION, 0)
+def count_calls(monkeypatch, module, attrs):
+    """{attr: 0} for each attr, which every later call that reaches
+    module.attr through the module attribute increments."""
+    calls = dict.fromkeys(attrs, 0)
 
     def counting(attr, fn):
         def wrapper(*args, **kwargs):
@@ -74,8 +72,18 @@ def test_run_calls_every_traced_solver_layer_through_its_attribute(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for attr in PER_ITERATION:
-        monkeypatch.setattr(solver, attr, counting(attr, getattr(solver, attr)))
+    for attr in calls:
+        monkeypatch.setattr(module, attr, counting(attr, getattr(module, attr)))
+    return calls
+
+
+def test_run_calls_every_traced_solver_layer_through_its_attribute(monkeypatch):
+    # the traced benchmark sees a layer only when `run` calls it through the
+    # module attribute; a layer inlined into `run` would silently read 0 s
+    traced = load_traced()
+    attrs = {attr for module, attr, _ in traced.TRACED if module is solver}
+    assert attrs == set(PER_ITERATION) | {"run", "kkt_residuals"}
+    calls = count_calls(monkeypatch, solver, PER_ITERATION)
     ds = gen_synthetic(clusters=2, per_cluster=6, views=2, latent_dim=3,
                        view_dims=[6, 5], noise_sigma=0.1, seed=0)
     fix_iterations(monkeypatch, 3)
@@ -83,6 +91,21 @@ def test_run_calls_every_traced_solver_layer_through_its_attribute(monkeypatch):
                      ElmscConfig(lam=1.0, latent_dim=3))
     assert len(out.trace) == 3
     assert calls == {attr: 3 * n for attr, n in PER_ITERATION.items()}
+
+
+def test_cluster_calls_every_traced_spectral_layer_through_its_attribute(
+        monkeypatch):
+    # the traced benchmark's spectral spans see a layer only when `cluster`
+    # calls it through the module attribute; an inlined k-means would make
+    # spectral.kmeans.s read 0, as an inlined J step did to update_j
+    traced = load_traced()
+    attrs = {attr for module, attr, _ in traced.TRACED if module is spectral}
+    assert attrs == {"cluster", "spectral_embed", "sym_eig", "kmeans"}
+    calls = count_calls(monkeypatch, spectral, attrs - {"cluster"})
+    rng = np.random.default_rng(0)
+    result = spectral.cluster(np.abs(rng.standard_normal((12, 12))), 3, seed=1)
+    assert len(result.labels) == 12
+    assert calls == {"spectral_embed": 1, "sym_eig": 1, "kmeans": 1}
 
 
 def traced_solve(monkeypatch, traced, per_cluster, latent_dim, max_iter):
