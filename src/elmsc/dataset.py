@@ -247,9 +247,9 @@ def _loadtxt(path, **kw):
 def _load_matrix(path, view_name):
     try:
         with open(path) as fh:
-            first = fh.readline()
-        delim = "," if "," in first else None
-        mat = _loadtxt(path, delimiter=delim)
+            data = (line.split("#", 1)[0] for line in fh)
+            first = next((line for line in data if line.strip()), "")
+        mat = _loadtxt(path, delimiter="," if "," in first else None)
     except OSError as exc:
         raise DatasetError(f"view '{view_name}': cannot read {path}: {exc}") from exc
     except ValueError as exc:

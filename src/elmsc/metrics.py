@@ -8,6 +8,7 @@ index, and F1 over co-clustered sample pairs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +33,14 @@ class LabelPair:
                 f"{len(self.truth)} truth"
             )
 
+    @cached_property
     def contingency(self):
-        """Count matrix: rows index truth clusters, columns predicted ones."""
+        """Count matrix, built once: rows truth clusters, columns predicted."""
         _, ti = np.unique(self.truth, return_inverse=True)
         _, pi = np.unique(self.predicted, return_inverse=True)
         table = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
         np.add.at(table, (ti, pi), 1)
+        table.flags.writeable = False  # shared by every metric of the pair
         return table
 
 
@@ -92,7 +95,7 @@ def _min_cost_assignment(cost):
 
 def acc(pair):
     """Best fraction of agreeing samples over injective cluster matchings."""
-    table = pair.contingency()
+    table = pair.contingency
     size = max(table.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table
@@ -110,7 +113,7 @@ def nmi(pair):
 
     Two single-cluster partitions agree perfectly and score 1.
     """
-    table = pair.contingency()
+    table = pair.contingency
     n = len(pair.truth)
     row = table.sum(axis=1)
     col = table.sum(axis=0)
@@ -128,7 +131,7 @@ def nmi(pair):
 def _pair_counts(pair):
     """Sample pairs co-clustered in both labelings, in the truth, and in the
     prediction, from the contingency table."""
-    table = pair.contingency().astype(np.float64)
+    table = pair.contingency.astype(np.float64)
     return tuple(float((c * (c - 1) / 2).sum())
                  for c in (table, table.sum(axis=1), table.sum(axis=0)))
 

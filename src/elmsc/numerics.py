@@ -18,18 +18,6 @@ class NumericalError(RuntimeError):
     """A factorization or iterative kernel failed to produce a result."""
 
 
-class SylvesterSingularError(NumericalError):
-    """The spectral pair of a Sylvester system is (near-)singular."""
-
-    def __init__(self, alpha, beta, i, j):
-        self.alpha = alpha
-        self.beta = beta
-        super().__init__(
-            f"singular Sylvester spectrum: alpha[{i}]={alpha:.6e} + "
-            f"beta[{j}]={beta:.6e} = {alpha + beta:.6e}"
-        )
-
-
 class NonFiniteError(NumericalError, ValueError):
     """A kernel input holds NaN/Inf entries.
 
@@ -120,7 +108,7 @@ def solve_sylvester(a, b, c):
 
     Both sides are diagonalized, c is transformed into the joint eigenbasis,
     divided entrywise by alpha_i + beta_j, and transformed back. Raises
-    SylvesterSingularError when |alpha_i + beta_j| <= SYLVESTER_SINGULAR_TOL.
+    NumericalError when |alpha_i + beta_j| <= SYLVESTER_SINGULAR_TOL.
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
@@ -137,7 +125,10 @@ def solve_sylvester(a, b, c):
     bad = np.abs(denom) <= SYLVESTER_SINGULAR_TOL
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise SylvesterSingularError(lam_a[i], lam_b[j], int(i), int(j))
+        raise NumericalError(
+            f"singular Sylvester spectrum: alpha[{i}]={lam_a[i]:.6e} + "
+            f"beta[{j}]={lam_b[j]:.6e} = {denom[i, j]:.6e}"
+        )
     f = qa.T @ c @ qb
     return qa @ (f / denom) @ qb.T
 

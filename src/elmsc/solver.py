@@ -3,7 +3,7 @@
 The iteration cycles five subproblems (projection P, latent H, representation
 Z, error E, auxiliary J), then performs dual ascent on three multipliers with
 a penalty that grows from MU0 by a factor RHO per iteration up to MU_MAX.
-P comes from an orthogonal Procrustes step. H solves a Sylvester system, SPD
+P comes from an orthogonal Procrustes step. H solves H (I + W W.T) = C, SPD
 since P is orthonormal: by conjugate gradients on its k rows, and through an
 eigendecomposition of the vn x vn Gram only when CG gives up. Z comes
 from a k x k LU solve through the push-through identity (Z's system
@@ -35,7 +35,7 @@ from .numerics import (
     orthogonal_procrustes,
     rng_from,
     soft_threshold,
-    solve_sylvester,
+    solve_sylvester,  # looked up here by bench/traced_cluster.py
     spd_solve,
 )
 
@@ -258,18 +258,18 @@ def update_p(state, xa, target=None):
 
 
 def update_h(state, xa, target=None, hw=None, out=None):
-    """Latent step: solve the Sylvester system A H + H B = C.
+    """Latent step: solve H (I + W W.T) = C.
 
-    The subproblem's normal equations, divided through by mu, have
-    A = P.T P, B = W W.T with W = I - Z, and C = P.T T - D W.T with
-    D = Y2/mu - E2 and update_p's target T = X + Y1/mu - E1; `target` takes
-    T when the caller already has it, and then E1 is not read (in `run` E1's
-    buffer holds T by then). With P orthonormal, as update_p returns it,
-    the system is H (I + W W.T) = C, SPD, solved by conjugate gradients on
-    the k rows (`gram_cg_solve`), warm-started from the current H; only when
-    CG gives up (at its cap, or on overflow) is the Gram W W.T formed and
-    solved through its eigendecomposition (`spd_solve`). The general
-    Sylvester branch, for any other P, is never reached by `run`.
+    The subproblem's normal equations, divided through by mu, have W = I - Z
+    and C = P.T T - D W.T with D = Y2/mu - E2 and update_p's target
+    T = X + Y1/mu - E1; `target` takes T when the caller already has it, and
+    then E1 is not read (in `run` E1's buffer holds T by then). P must have
+    orthonormal columns (P.T P = I within 1e-8), as update_p returns it; any
+    other P is refused with a ValueError before anything is written. The SPD
+    system is solved by conjugate gradients on the k rows (`gram_cg_solve`),
+    warm-started from the current H; only when CG gives up (at its cap, or
+    on overflow) is B = I + W W.T formed and solved through its
+    eigendecomposition (`spd_solve`).
 
     `hw` takes H W = H - H Z when the caller already has it (`run` keeps
     the last E step's); D W.T and the warm start's H W W.T come from one
@@ -284,6 +284,8 @@ def update_h(state, xa, target=None, hw=None, out=None):
     """
     p, z = state.p, state.z
     k, vn = p.shape[1], z.shape[0]
+    if not np.abs(p.T @ p - np.eye(k)).max() <= 1e-8:
+        raise ValueError("update_h needs P with orthonormal columns")
     diag = np.s_[::vn + 1]
     hw = _latent_gap(state.h, z) if hw is None else hw
     w = np.negative(z, out=out)
@@ -292,19 +294,12 @@ def update_h(state, xa, target=None, hw=None, out=None):
     dhw = np.concatenate([state.y2 / state.mu - state.e2, hw], dtype=w.dtype)
     dhw = (w @ dhw.T).T
     c -= dhw[:k]
-    ptp = p.T @ p
-    orthonormal = np.abs(ptp - np.eye(k)).max() <= 1e-8
-    h = None
-    if orthonormal:
-        h, _ = gram_cg_solve(w, c, state.h, x0ww=dhw[k:])
+    h, _ = gram_cg_solve(w, c, state.h, x0ww=dhw[k:])
     if h is None:
         # matmul on w and its own transpose view runs as a syrk
         b = np.matmul(w, w.T)
-        if orthonormal:
-            b.flat[diag] += 1.0
-            h = spd_solve(b, c.T).T
-        else:
-            h = solve_sylvester(ptp, b, c)
+        b.flat[diag] += 1.0
+        h = spd_solve(b, c.T).T
     return h.astype(state.h.dtype, copy=False)
 
 

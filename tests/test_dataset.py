@@ -374,6 +374,28 @@ def test_load_dataset_comma_separated(tmp_path):
     assert np.array_equal(ds.views[0], mat)
 
 
+@pytest.mark.parametrize("header,sep", [
+    ("# view 0: 3 features\n", ","),
+    ("\n", ","),
+    ("# features, samples\n", " "),
+], ids=["csv-comment", "csv-blank", "whitespace-comma-comment"])
+def test_load_dataset_picks_the_delimiter_past_comments_and_blanks(
+        tmp_path, header, sep):
+    # the delimiter is read from the first line holding data, so a comment
+    # or blank line above it, even one with a comma, does not decide it
+    mat = np.arange(18.0).reshape(3, 6)
+    rows = "".join(sep.join(map(repr, row)) + "\n" for row in mat.tolist())
+    (tmp_path / "v0.txt").write_text(header + rows)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "n": 6,
+        "views": [{"name": "v0", "path": "v0.txt", "rows": 3, "cols": 6}],
+    }))
+    assert np.array_equal(np.loadtxt(tmp_path / "v0.txt",
+                                     delimiter=sep.strip() or None), mat)
+    assert np.array_equal(load_dataset(path).views[0], mat)
+
+
 def drop_key(key):
     def mutate(manifest):
         del manifest["views"][0][key]

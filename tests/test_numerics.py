@@ -6,7 +6,6 @@ import elmsc.numerics as numerics
 from elmsc.numerics import (
     NonFiniteError,
     NumericalError,
-    SylvesterSingularError,
     col_l21_prox,
     col_norms,
     gram_cg_solve,
@@ -149,9 +148,8 @@ def test_sylvester_residual_random_pairs():
 def test_sylvester_singular_pair_raises():
     a = np.diag([1.0, -2.0])
     b = np.diag([2.0, 5.0])  # alpha=-2 + beta=2 = 0
-    with pytest.raises(SylvesterSingularError) as err:
+    with pytest.raises(NumericalError, match="singular Sylvester spectrum"):
         solve_sylvester(a, b, np.ones((2, 2)))
-    assert abs(err.value.alpha + err.value.beta) <= 1e-12
 
 
 def test_sylvester_shape_contracts():

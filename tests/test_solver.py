@@ -197,14 +197,17 @@ def test_update_h_gradient_vanishes():
     assert np.linalg.norm(grad) <= 1e-6
 
 
-def test_update_h_general_path_without_orthonormal_p():
+def test_update_h_refuses_p_without_orthonormal_columns():
+    # the H step's system holds for P.T P = I only, which update_p gives;
+    # any other P is refused before W is written over Z's buffer
     rng = np.random.default_rng(8)
     st = random_admm_state(rng, d=6, k=3, v=1, n=4, mu=1.1)
-    st.p = rng.standard_normal((6, 3))  # forces the general Sylvester path
+    st.p = rng.standard_normal((6, 3))
     xa = make_xa(rng, 6, 4)
-    h = update_h(st, xa)
-    grad = h_subproblem_grad_fd(h, st, xa)
-    assert np.linalg.norm(grad) <= 1e-6
+    z = st.z.copy()
+    with pytest.raises(ValueError, match="orthonormal columns"):
+        update_h(st, xa, out=st.z)
+    assert np.array_equal(st.z, z)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

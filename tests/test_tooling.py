@@ -360,6 +360,30 @@ def test_every_top_level_package_name_is_referenced():
     assert not unused, unused
 
 
+def test_every_name_a_package_module_imports_is_used_there():
+    # an import left behind when its last use goes is dead; the one
+    # exception is a name the traced benchmark looks up on the module
+    # (solver's solve_sylvester), which goes once its TRACED entry does
+    traced = {(module.__name__, attr)
+              for module, attr, _ in load_traced().TRACED}
+    unused = []
+    for path in sorted((ROOT / "src" / "elmsc").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in (alias.asname or alias.name.split(".")[0]
+                                 for alias in node.names)
+                    if name not in loaded
+                    and (f"elmsc.{path.stem}", name) not in traced]
+    assert not unused, unused
+
+
 def test_package_modules_build_on_numerics_alone():
     # numerics is the base and metrics stands apart; the data layer, the
     # solver and the spectral step import only numerics
