@@ -60,23 +60,16 @@ class RunConfig:
     def __post_init__(self):
         if (self.manifest is None) == (self.synthetic is None):
             raise ValueError("exactly one of manifest/synthetic must be given")
-        for name in ("clusters", "trials", "workers", "seed", "latent_dim"):
-            number(getattr(self, name), name)
-        if self.clusters < 2:
-            raise ValueError(f"clusters must be >= 2, got {self.clusters}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
+        for name, low in (("clusters", 2), ("trials", 1), ("workers", 1),
+                          ("seed", None), ("latent_dim", 1)):
+            number(getattr(self, name), name, low=low)
+        finite_real(self.lam, "lam", low=0)
         if not self.lambda_grid or not self.k_grid:
             raise ValueError("sweep grids must be nonempty")
-        self.lambda_grid = tuple(finite_real(lam, "lambda_grid")
+        self.lambda_grid = tuple(finite_real(lam, "lambda_grid", low=0)
                                  for lam in self.lambda_grid)
-        self.k_grid = tuple(number(k, "k_grid") for k in self.k_grid)
-        if min(self.lambda_grid) < 0:
-            raise ValueError(f"'lambda_grid' must be nonnegative: {self.lambda_grid}")
-        if min(self.k_grid) < 1:  # a k above d fails only its cell
-            raise ValueError(f"'k_grid' entries must be >= 1: {self.k_grid}")
+        # a k above d fails only its cell
+        self.k_grid = tuple(number(k, "k_grid", low=1) for k in self.k_grid)
 
 
 def _synthetic_dataset(spec):

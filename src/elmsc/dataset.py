@@ -7,7 +7,6 @@ cross-view products elsewhere.
 """
 
 import json
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -193,21 +192,20 @@ def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
     a distinct affine subspace in every view. Each view applies its own random
     linear map plus Gaussian noise of scale `noise_sigma`.
 
-    Counts, seed and `view_dims` entries must be integers and `noise_sigma`
-    a finite real, none of them a bool; ValueError names a field that is not.
+    Counts and `view_dims` entries must be integers >= 1, the seed an
+    integer and `noise_sigma` a finite real >= 0, none of them a bool;
+    ValueError names a field that is not.
     """
     if not isinstance(view_dims, list):
         raise ValueError(f"'view_dims' must be a list, got {view_dims!r}")
     for name, value in (("clusters", clusters), ("per_cluster", per_cluster),
                         ("views", views), ("latent_dim", latent_dim),
-                        ("seed", seed), *(("view_dims", d) for d in view_dims)):
-        number(value, name)
-    if finite_real(noise_sigma, "noise_sigma") < 0:
-        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
+                        *(("view_dims", d) for d in view_dims)):
+        number(value, name, low=1)
+    number(seed, "seed")
+    finite_real(noise_sigma, "noise_sigma", low=0)
     if views != len(view_dims):
         raise ValueError(f"views={views} but {len(view_dims)} view_dims given")
-    if clusters < 1 or per_cluster < 1 or views < 1 or latent_dim < 1:
-        raise ValueError("clusters, per_cluster, views and latent_dim must be positive")
     if latent_dim > min(view_dims):
         raise ValueError(
             f"latent_dim={latent_dim} exceeds the smallest view dimension "
@@ -237,57 +235,47 @@ def gen_synthetic(clusters, per_cluster, views, latent_dim, view_dims,
     return MultiViewDataset(views=out, labels=labels)
 
 
-def _loadtxt(path, **kw):
-    """np.loadtxt, 2-D, with no warning on an empty file: callers refuse it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(path, ndmin=2, **kw)
+def _data_lines(fh):
+    """The lines of an open text file that hold data: `#` comments cut,
+    blank lines dropped."""
+    for line in fh:
+        line = line.split("#", 1)[0]
+        if line.strip():
+            yield line
 
 
 def _load_matrix(path, view_name):
     try:
         with open(path) as fh:
-            data = (line.split("#", 1)[0] for line in fh)
-            first = next((line for line in data if line.strip()), "")
-        mat = _loadtxt(path, delimiter="," if "," in first else None)
+            first = next(_data_lines(fh), None)
+        if first is None:
+            raise DatasetError(f"view '{view_name}': {path} holds no data")
+        return np.loadtxt(path, delimiter="," if "," in first else None, ndmin=2)
     except OSError as exc:
         raise DatasetError(f"view '{view_name}': cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DatasetError(
             f"view '{view_name}': non-numeric or ragged data in {path}: {exc}"
         ) from exc
-    if mat.size == 0:
-        raise DatasetError(f"view '{view_name}': {path} holds no data")
-    return mat
-
-
-def _widest_line(path):
-    """Most whitespace-separated values on one line, comments excluded."""
-    with open(path, errors="replace") as fh:
-        return max((len(line.split("#", 1)[0].split()) for line in fh),
-                   default=0)
 
 
 def load_labels(path):
     """Integer labels from a text file holding one integer per line."""
     try:
-        labels = _loadtxt(path, dtype=_LABEL_DTYPE)
+        with open(path) as fh:
+            lines = list(_data_lines(fh))
+        width = max((len(line.split()) for line in lines), default=0)
+        if width > 1:
+            raise DatasetError(f"label file {path} must hold one integer per "
+                               f"line, got {width} values on a line")
+        if not lines:
+            raise DatasetError(f"label file {path} holds no labels")
+        return np.loadtxt(lines, dtype=_LABEL_DTYPE, ndmin=1)
     except OSError as exc:
         raise DatasetError(f"cannot read label file {path}: {exc}") from exc
     except ValueError as exc:
-        # a ragged file fails to parse before its width can be checked
-        width = _widest_line(path)
-        if width <= 1:
-            raise DatasetError(
-                f"label file {path} is not integer-valued: {exc}") from exc
-    else:
-        width = labels.shape[1]
-    if width != 1:
-        raise DatasetError(f"label file {path} must hold one integer per line, "
-                           f"got {width} values on a line")
-    if labels.size == 0:
-        raise DatasetError(f"label file {path} holds no labels")
-    return labels[:, 0]
+        raise DatasetError(
+            f"label file {path} is not integer-valued: {exc}") from exc
 
 
 def save_dataset(ds, out_dir):

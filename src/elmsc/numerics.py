@@ -26,16 +26,18 @@ class NonFiniteError(NumericalError, ValueError):
     """
 
 
-def number(value, name, kind=numbers.Integral):
-    """`value` if it is a `kind` but not a bool, else ValueError naming it."""
+def number(value, name, kind=numbers.Integral, low=None):
+    """`value` if a `kind` (not a bool) and not below `low`, else ValueError."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"'{name}' must be {kind.__name__.lower()}, not {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"'{name}' must be >= {low}, not {value!r}")
     return value
 
 
-def finite_real(value, name):
+def finite_real(value, name, low=None):
     """`number`'s rule for a real `value` that must also be finite."""
-    if not -np.inf < number(value, name, numbers.Real) < np.inf:
+    if not -np.inf < number(value, name, numbers.Real, low=low) < np.inf:
         raise ValueError(f"'{name}' must be finite, not {value!r}")
     return value
 

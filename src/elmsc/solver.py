@@ -34,7 +34,7 @@ from .numerics import (
     number,
     orthogonal_procrustes,
     rng_from,
-    soft_threshold,
+    soft_threshold,  # looked up here by bench/traced_cluster.py
     solve_sylvester,  # looked up here by bench/traced_cluster.py
     spd_solve,
 )
@@ -62,10 +62,8 @@ class ElmscConfig:
     ablation: str = "full"
 
     def __post_init__(self):
-        if finite_real(self.lam, "lam") < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if number(self.latent_dim, "latent_dim") < 1:
-            raise ValueError(f"latent_dim must be positive, got {self.latent_dim}")
+        finite_real(self.lam, "lam", low=0)
+        number(self.latent_dim, "latent_dim", low=1)
         number(self.seed, "seed")
         if self.ablation not in ABLATIONS:
             raise ValueError(
@@ -371,19 +369,18 @@ def update_e(state, xa, out=None, ascent=False):
 
 def update_j(state, lam, v, n):
     """Auxiliary step: keep diagonal blocks, shrink off-diagonal entries of
-    M = Z - Y3/mu by lam/mu. `run` folds this step into its J pass."""
-    m = state.z - state.y3 / state.mu
-    j = soft_threshold(m, lam / state.mu)
-    d = range(v)
-    j.reshape(v, n, v, n)[d, :, d] = m.reshape(v, n, v, n)[d, :, d]
+    M = Z - Y3/mu by lam/mu, into a new array; `run` makes it in place."""
+    c = np.negative(state.y3 / state.mu)
+    j = np.empty(c.shape, np.result_type(state.z, c))
+    _j_pass(state.z, j, c, lam / state.mu, v, n)
     return j
 
 
 def _j_pass(z, b, c, eta, v, n):
-    """`run`'s J step and Y3 dual step: B = Z + c (c = -Y3/mu on entry) into
-    b, C = clip(B, -eta, eta) with zeroed diagonal blocks into c, J = B - C
-    (update_j's shrinkage) into b; Y3 + mu (J - Z) is then -mu C. Returns
-    max |J - Z|, taken by row panels through one scratch panel."""
+    """The J step and Y3 dual step: B = Z + c (c = -Y3/mu on entry) into b,
+    C = clip(B, -eta, eta), zero on the diagonal blocks, into c, J = B - C
+    (B shrunk by eta off them) into b; Y3 + mu (J - Z) is then -mu C.
+    Returns max |J - Z|, taken by row panels through one scratch panel."""
     np.add(z, c, out=b)
     np.clip(b, -eta, eta, out=c)
     c.reshape(v, n, v, n)[range(v), :, range(v)] = 0

@@ -84,7 +84,8 @@ def _greedy_seed(points, c, rngs):
 
 def _lloyd(points, centers):
     """Lloyd passes on all restarts' centers (restarts, c, f) at once, in place,
-    each until a pass keeps its labels; returns them, shape (restarts, n)."""
+    each until a pass keeps its labels or leaves every point on a centre;
+    returns the labels, shape (restarts, n)."""
     n, c = len(points), centers.shape[1]
     labels, live = np.full((len(centers), n), -1), np.arange(len(centers))
     for _ in range(_LLOYD_CAP):
@@ -109,7 +110,8 @@ def _lloyd(points, centers):
                                  ).reshape(len(live), c, -1)
         r, far = np.nonzero(counted != new)
         centers[live[r], new[r, far]] = points[far]
-        done = (new == labels[live]).all(axis=1)
+        # past a pass that leaves every point on a centre, revivals cycle
+        done = (new == labels[live]).all(axis=1) | (d2.min(axis=1).max(axis=1) == 0)
         labels[live] = new
         live = live[~done]
         if not live.size:

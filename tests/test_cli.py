@@ -817,15 +817,34 @@ def test_bad_solver_config_rejected_before_first_trial(monkeypatch, tmp_path,
     def no_trial(payload):
         raise AssertionError("a trial ran")
 
+    # only a latent_dim above d needs the data to be refused
+    loads = []
+    load = cli._load_or_generate
+    monkeypatch.setattr(cli, "_load_or_generate",
+                        lambda cfg: loads.append(cfg) or load(cfg))
     monkeypatch.setattr(cli, "_trial_job", no_trial)
     with pytest.raises(ValueError, match=name):
         cli.cmd_cluster(tiny_config(tmp_path, **{name: value}))
+    assert len(loads) == (1 if value == 40 else 0)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,value,name", [("--lambda", "nan", "'lam'"),
+                                             ("--latent-dim", "0", "'latent_dim'")])
+def test_bad_solver_option_is_a_config_error_before_the_data_is_read(
+        tmp_path, capsys, flag, value, name):
+    # the manifest does not exist, so reading it first would exit 2
+    out = tmp_path / "out"
+    assert cli.main(["cluster", "--manifest", str(tmp_path / "none.json"),
+                     "--clusters", "2", flag, value, "--out", str(out)]
+                    ) == cli.EXIT_CONFIG
+    assert name in only_error_record(capsys)["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,value,message", [
-    ("trials", 0, "trials must be positive"),
-    ("workers", 0, "workers must be positive"),
+    ("trials", 0, "'trials' must be >= 1"),
+    ("workers", 0, "'workers' must be >= 1"),
     ("lambda_grid", (), "sweep grids must be nonempty"),
     ("k_grid", (), "sweep grids must be nonempty"),
 ])

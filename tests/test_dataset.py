@@ -244,9 +244,9 @@ def test_synthetic_precondition_errors():
         gen_synthetic(2, 5, views=2, latent_dim=3, view_dims=[4], noise_sigma=0, seed=0)
     with pytest.raises(ValueError):
         gen_synthetic(2, 5, views=1, latent_dim=9, view_dims=[4], noise_sigma=0, seed=0)
-    with pytest.raises(ValueError, match="views and latent_dim must be positive"):
+    with pytest.raises(ValueError, match="'views' must be >= 1, not 0"):
         gen_synthetic(2, 5, views=0, latent_dim=3, view_dims=[])
-    with pytest.raises(ValueError, match="noise_sigma must be nonnegative"):
+    with pytest.raises(ValueError, match="'noise_sigma' must be >= 0, not -1"):
         gen_synthetic(2, 5, views=1, latent_dim=3, view_dims=[4],
                       noise_sigma=-1)
 

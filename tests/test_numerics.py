@@ -8,8 +8,10 @@ from elmsc.numerics import (
     NumericalError,
     col_l21_prox,
     col_norms,
+    finite_real,
     gram_cg_solve,
     l21_scale,
+    number,
     orthogonal_procrustes,
     pca_reduce,
     soft_threshold,
@@ -20,6 +22,39 @@ from elmsc.numerics import (
 )
 
 from conftest import random_admm_state, random_row_orthonormal
+
+
+# ---------------------------------------------------------------------------
+# number rules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rule,low,at", [(number, 1, 1), (number, 2, 2),
+                                         (finite_real, 0, 0.0),
+                                         (finite_real, 0, 0)])
+def test_number_rules_pass_the_bound_and_refuse_below_it(rule, low, at):
+    assert rule(at, "x", low=low) == at
+    assert rule(at + 1, "x", low=low) == at + 1
+    with pytest.raises(ValueError) as info:
+        rule(at - 1, "x", low=low)
+    assert str(info.value) == f"'x' must be >= {low}, not {at - 1!r}"
+
+
+@pytest.mark.parametrize("rule", [number, finite_real])
+def test_number_rules_refuse_a_bool_as_a_type_before_the_bound(rule):
+    # True >= 0 and False < 1 as numbers, but neither is taken as one
+    for value, low in ((True, 0), (False, 1)):
+        with pytest.raises(ValueError, match="'x' must be (integral|real), "):
+            rule(value, "x", low=low)
+
+
+@pytest.mark.parametrize("value,low,rule", [
+    (np.nan, None, "finite"), (np.nan, 0, "finite"), (np.inf, None, "finite"),
+    (np.inf, 0, "finite"), (-np.inf, None, "finite"), (-np.inf, 0, ">= 0"),
+])
+def test_finite_real_refuses_nan_and_inf(value, low, rule):
+    # the bound comes before finiteness, and NaN compares below no bound
+    with pytest.raises(ValueError, match=f"'x' must be {rule}, not "):
+        finite_real(value, "x", low=low)
 
 
 # ---------------------------------------------------------------------------

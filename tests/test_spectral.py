@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elmsc import cli, solver
+from elmsc import cli, solver, spectral
 from elmsc.dataset import build_augmented, default_pca_components, gen_synthetic
 from elmsc.numerics import rng_from
 from elmsc.spectral import (
@@ -238,9 +238,11 @@ def reference_lloyd(points, centers):
                 far = int(np.where(kept, own, -1.0).argmax())
                 centers[k] = points[far]
                 new_labels[far] = k
-        if np.array_equal(new_labels, labels):
-            break
+        done = (np.array_equal(new_labels, labels)
+                or d2.min(axis=1).max() == 0)
         labels = new_labels
+        if done:
+            break
     inertia = float(((points - centers[labels]) ** 2).sum())
     return labels, inertia
 
@@ -323,6 +325,25 @@ def test_kmeans_matches_the_one_restart_program_with_fewer_points_than_c(
     rng = np.random.default_rng(n + c)
     points = rng.standard_normal((distinct, 3))[rng.integers(distinct, size=n)]
     assert_matches_reference(points, c, [0])
+
+
+@pytest.mark.parametrize("n, c, distinct", [(40, 8, 4), (60, 12, 7)])
+def test_kmeans_ends_each_restart_once_every_point_sits_on_a_centre(
+        monkeypatch, n, c, distinct):
+    # seeding puts a centre on every distinct point, so the first pass
+    # leaves every point at distance 0; passes after it would cycle
+    # through revivals up to the cap
+    rng = np.random.default_rng(n + c)
+    points = rng.standard_normal((distinct, 3))[rng.integers(distinct, size=n)]
+    shapes = []
+    sqdist = spectral._sqdist
+    monkeypatch.setattr(spectral, "_sqdist",
+                        lambda a, b: shapes.append(a.shape) or sqdist(a, b))
+    labels, _ = kmeans(points, c, seed=0)
+    # a Lloyd pass measures (live restarts, c, f) centres, a seeding step
+    # fewer than c candidates
+    assert [s for s in shapes if s[1] == c] == [(_RESTARTS, c, 3)]
+    assert set(labels.tolist()) == set(range(c))
 
 
 def test_kmeans_batch_forms_no_four_way_broadcast():
