@@ -11,7 +11,6 @@ large for memory included), 3 numerical failure.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import inspect
 import json
@@ -150,11 +149,48 @@ def cmd_cluster(cfg):
     return _run_trials(cfg, *_prepare(cfg))
 
 
+def _read(path):
+    """A text file's contents, or None when it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError:
+        return None
+
+
+def _available_memory():
+    """Bytes this process can still allocate: /proc/meminfo's MemAvailable,
+    capped by its cgroup's memory.max - memory.current (cgroup v2); None
+    when neither can be read."""
+    limits = []
+    for line in (_read("/proc/meminfo") or "").splitlines():
+        if line.startswith("MemAvailable:"):
+            limits.append(int(line.split()[1]) * 1024)  # in kB
+    for line in (_read("/proc/self/cgroup") or "").splitlines():
+        if line.startswith("0::"):
+            group = Path("/sys/fs/cgroup", line[3:].strip().lstrip("/"))
+            cap = _read(group / "memory.max")
+            used = _read(group / "memory.current")
+            if cap and used and cap.strip().isdigit():
+                limits.append(int(cap) - int(used))
+    return min(limits, default=None)
+
+
 def _run_trials(cfg, xa, labels):
     """cmd_cluster's trials at cfg.lam and cfg.latent_dim, each on
-    `solver.solve_matrix` of `xa`; returns the report."""
+    `solver.solve_matrix` of `xa`; returns the report. Before anything is
+    factored or formed, a run whose workspace plan times its worker count
+    exceeds the available memory is refused with a MemoryError."""
     scfg = solver_mod.ElmscConfig(lam=cfg.lam, latent_dim=cfg.latent_dim,
                                   seed=cfg.seed, ablation=cfg.ablation)
+    plan = solver_mod.workspace_plan(xa, scfg)
+    # a pool starts all its workers at once, each with a copy of the matrix
+    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    available = _available_memory()
+    if available is not None and plan["total"] * workers > available:
+        raise MemoryError(
+            f"the run needs {plan['total'] * workers} bytes ({workers} x "
+            f"{plan['total']} per worker), more than the {available} bytes "
+            "available")
     # once per run, so payloads carry the formed matrix (R, not X, when
     # d > vn >= k), and before any trial, so no pool starts for a k above d
     xa = solver_mod.solve_matrix(xa, scfg)
@@ -163,13 +199,15 @@ def _run_trials(cfg, xa, labels):
         (xa, replace(scfg, seed=scfg.seed + t), cfg.clusters, t, labels)
         for t in range(cfg.trials)
     ]
-    # a pool starts all its workers at once, each with a copy of that matrix
-    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures  # it loads logging, which a serial run skips
+
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(_trial_job, payloads))
     else:
-        results = [_trial_job(p) for p in payloads]
+        # a trial returns nothing that shares the buffers
+        with solver_mod.reuse_buffers(xa, scfg.latent_dim):
+            results = [_trial_job(p) for p in payloads]
 
     # only now, so that a failed trial leaves no output directory
     out_dir = Path(cfg.out)
@@ -188,7 +226,8 @@ def _run_trials(cfg, xa, labels):
     for name in ("out", "lambda_grid", "k_grid"):
         del config[name]
     config["lambda"] = config.pop("lam")
-    report = {"config": config, "trials": records, "aggregate": aggregate}
+    report = {"config": config, "trials": records, "aggregate": aggregate,
+              "plan": plan}
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )

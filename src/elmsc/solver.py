@@ -18,6 +18,7 @@ float64. Each step follows its arrays' dtypes: a float64 state runs in float64.
 """
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -179,7 +180,8 @@ def init_state(xa, cfg):
     """Fresh state: H i.i.d. standard Gaussian from cfg.seed, all else zero.
 
     E1 and E2 are views of one stacked (d+k) x vn buffer, which `run` hands
-    to each E step to refill in place.
+    to each E step to refill in place. Inside `reuse_buffers(xa, k)` Z, J,
+    Y3, that stack and Y1 are the block's buffers, zero-filled, not new ones.
 
     Z, J and Y3, `run`'s vn x vn iterates, are VN2_DTYPE, float32: the
     vn x vn passes (the H step's products with W = I - Z or its Gram and
@@ -192,19 +194,70 @@ def init_state(xa, cfg):
     """
     (d, vn), k = xa.xa.shape, cfg.latent_dim
     h = rng_from(cfg.seed).standard_normal((k, vn))
-    e = np.zeros((d + k, vn))
-    return AdmmState(
-        p=np.zeros((d, k)),
-        h=h,
-        z=np.zeros((vn, vn), VN2_DTYPE),
-        e1=e[:d],
-        e2=e[d:],
-        j=np.zeros((vn, vn), VN2_DTYPE),
-        y1=np.zeros((d, vn)),
-        y2=np.zeros((k, vn)),
-        y3=np.zeros((vn, vn), VN2_DTYPE),
-        mu=MU0,
-    )
+    reused = _REUSED.get((id(xa), k))
+    if reused is None:
+        z, j, y3, e, y1 = _zeroed_buffers(d, vn, k)
+    else:
+        z, j, y3, e, y1 = reused[1]
+        for buf in reused[1]:
+            buf.fill(0)
+    return AdmmState(p=np.zeros((d, k)), h=h, z=z, e1=e[:d], e2=e[d:], j=j,
+                     y1=y1, y2=np.zeros((k, vn)), y3=y3, mu=MU0)
+
+
+def _zeroed_buffers(d, vn, k):
+    """init_state's Z, J, Y3 (vn x vn, VN2_DTYPE), [E1; E2] and Y1."""
+    return (*(np.zeros((vn, vn), VN2_DTYPE) for _ in range(3)),
+            np.zeros((d + k, vn)), np.zeros((d, vn)))
+
+
+# (id of a solve matrix, k) -> (that matrix, its buffers), only while a
+# reuse_buffers block on them is open; holding the matrix keeps its id
+_REUSED = {}
+
+
+@contextmanager
+def reuse_buffers(xa, k):
+    """Within the block, every init_state on the solve matrix `xa` (a
+    `solve_matrix` result) at latent_dim k zero-fills one set of buffers,
+    made and paged in here, before any solve, rather than allocating its
+    own; `workspace_plan` counts them. A `run` output made inside the block
+    shares them, so it holds only until the next solve there; `cli` keeps
+    none past its trial. Any other matrix or k, and any solve once the
+    block closes, allocates."""
+    key = (id(xa), k)
+    bufs = _zeroed_buffers(*xa.xa.shape, k)
+    for buf in bufs:
+        buf.fill(0)  # np.zeros maps pages at first touch: commit them now
+    _REUSED[key] = (xa, bufs)
+    try:
+        yield
+    finally:
+        del _REUSED[key]
+
+
+def solve_rows(xa, cfg):
+    """Row count of the matrix `run` iterates on: vn when d > vn >= k (the
+    views' factors), else d = sum d_p; a k above d is refused."""
+    d, vn, k = sum(xa.view_dims), xa.n_views * xa.n_samples, cfg.latent_dim
+    if k > d:
+        raise ValueError(
+            f"latent_dim={k} exceeds the stacked feature dimension d={d}")
+    return vn if k <= vn < d else d
+
+
+def workspace_plan(xa, cfg):
+    """Bytes of the arrays a run on `xa` allocates once (`reuse_buffers`),
+    from shapes alone: the solve matrix, Z, J and Y3, [E1; E2] and Y1 at
+    the solve's row count, and their total."""
+    rows, vn = solve_rows(xa, cfg), xa.n_views * xa.n_samples
+    f64 = np.dtype(np.float64).itemsize
+    plan = {"solve_matrix": rows * vn * f64,
+            "z_j_y3": 3 * vn * vn * np.dtype(VN2_DTYPE).itemsize,
+            "e1_e2": (rows + cfg.latent_dim) * vn * f64,
+            "y1": rows * vn * f64}
+    plan["total"] = sum(plan.values())
+    return plan
 
 
 # rows per panel of the d x vn passes: a 32 x vn scratch buffer is small
@@ -319,7 +372,10 @@ def update_z(state, a=None, out=None):
     Z takes A's dtype. H - H A is summed in float64 (`_latent_gap`), since
     a float32 sum loses digits once |H| is large. S and its solve are float64,
     and H and S^-1 G are cast to Z's dtype for the product H.T S^-1 G, so
-    that A is never copied into another precision.
+    that A is never copied into another precision. The LU solve stays,
+    though inv(S) @ G is about 4x faster: with that product a float32
+    solve's final objective left the float64 one's 1e-4 bound, which
+    tests/test_solver.py holds, at two BLAS threads.
     """
     h, mu = state.h, state.mu
     if a is None:
@@ -443,12 +499,9 @@ def solve_matrix(xa, cfg):
     d > vn >= k the views are factored, and X = QR with the vn x vn R and
     Q = blockdiag(Q_p) never formed (Liu et al., TPAMI 2013; d > vn leaves
     Q room for padding rows). Under v2 the off-diagonal blocks are dropped.
-    Idempotent: a second call returns its argument."""
-    d, vn, k = sum(xa.view_dims), xa.n_views * xa.n_samples, cfg.latent_dim
-    if k > d:
-        raise ValueError(
-            f"latent_dim={k} exceeds the stacked feature dimension d={d}")
-    if k <= vn < d:
+    Its row count is `solve_rows`'. Idempotent: a second call returns its
+    argument."""
+    if solve_rows(xa, cfg) < sum(xa.view_dims):
         xa = xa.factored
     if cfg.ablation == "v2" and xa.aligned:
         xa = xa.v2

@@ -62,8 +62,23 @@ def _greedy_seed(points, c, rngs):
     one restart per generator, all at once, each drawing as it would alone;
     ties and zero weights resolve deterministically."""
     n, rows, n_cand = len(points), np.arange(len(rngs)), 2 + int(np.log(c))
+    # one distance row per distinct point drawn, computed when it is first
+    # drawn and shared by every restart and step: at most restarts x
+    # (1 + (c - 1) n_cand) rows, and no more than there are points
+    slot = np.full(n, -1)
+    cache = np.empty((min(n, len(rngs) * (1 + (c - 1) * n_cand)), n))
+    cached = 0
+
+    def sqdist_rows(idx):
+        nonlocal cached
+        new = np.unique(idx[slot[idx] < 0])
+        slot[new] = range(cached, cached + len(new))
+        cache[cached:cached + len(new)] = _sqdist(points[new], points)
+        cached += len(new)
+        return cache[slot[idx]]
+
     picks = [np.array([rng.integers(n) for rng in rngs])]
-    d2 = _sqdist(points[picks[0], None], points)[:, 0]
+    d2 = sqdist_rows(picks[0])
     for _ in range(1, c):
         total = d2.sum(axis=1)
         with np.errstate(invalid="ignore"):  # a zero-weight row is not read
@@ -75,7 +90,7 @@ def _greedy_seed(points, c, rngs):
                          if total[r] > 0 else np.full(n_cand, rng.integers(n))
                          for r, rng in enumerate(rngs)])
         # candidate potentials; argmin takes the first-drawn of equal ones
-        d2s = np.minimum(d2[:, None], _sqdist(points[cand], points))
+        d2s = np.minimum(d2[:, None], sqdist_rows(cand))
         best = d2s.sum(axis=2).argmin(axis=1)
         picks.append(cand[rows, best])
         d2 = d2s[rows, best]

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -203,7 +204,8 @@ def recording_pool(monkeypatch, cpus):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+    # cli imports concurrent.futures only for a pool, so patch it at home
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     return sizes
@@ -715,6 +717,134 @@ def test_sweep_cell_out_of_memory_fails_only_that_cell(monkeypatch, tmp_path,
     assert rows[1]["report"] == ""
     assert sorted(p.name for p in out.iterdir()) == ["cell_lam1_k2",
                                                      "summary.csv"]
+
+
+def tiny_plan(latent_dim):
+    """The workspace plan's total of a TINY_SPEC run at latent_dim."""
+    xa, _ = cli._prepare(tiny_config(Path("unused")))
+    return solver.workspace_plan(
+        xa, solver.ElmscConfig(lam=1.0, latent_dim=latent_dim))["total"]
+
+
+def refusing_memory(monkeypatch, available):
+    """Report `available` bytes free and record the latent_dim of every
+    solve_matrix call, which must not come once the preflight refuses;
+    returns the record."""
+    formed = []
+    solve_matrix = solver.solve_matrix
+    monkeypatch.setattr(cli, "_available_memory", lambda: available)
+    monkeypatch.setattr(solver, "solve_matrix",
+                        lambda xa, scfg: formed.append(scfg.latent_dim) or
+                        solve_matrix(xa, scfg))
+    return formed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_whose_plan_exceeds_available_memory_exits_2_before_forming(
+        monkeypatch, tmp_path, capsys, workers):
+    # each worker holds its own copy of the plan, so the check is per worker;
+    # the available figure is a patch, so nothing large is allocated
+    need = tiny_plan(3) * workers
+    formed = refusing_memory(monkeypatch, need - 1)
+    recording_pool(monkeypatch, cpus=2)
+    out = tmp_path / "o"
+    argv = ["cluster", "--synthetic", json.dumps(TINY_SPEC), "--clusters",
+            "2", "--latent-dim", "3", "--trials", "2", "--workers",
+            str(workers), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    record = only_error_record(capsys)
+    assert record["error"] == "MemoryError"
+    assert f"needs {need} bytes" in record["message"]
+    assert f"the {need - 1} bytes available" in record["message"]
+    assert not out.exists() and not formed
+    # a plan that fits exactly runs
+    monkeypatch.setattr(cli, "_available_memory", lambda: need)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert formed and set(formed) == {3}
+
+
+def test_sweep_cell_whose_plan_exceeds_available_memory_fails_only_it(
+        monkeypatch, tmp_path, capsys):
+    # k = 3 stacks one more row of E2 than k = 2, so only its plan is over
+    formed = refusing_memory(monkeypatch, tiny_plan(2))
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--synthetic", json.dumps(TINY_SPEC),
+                     "--clusters", "2", "--lambda-grid", "1", "--k-grid", "3",
+                     "2", "--trials", "1", "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["failed", "ok"]
+    assert rows[0]["error"].startswith(f"MemoryError: the run needs "
+                                       f"{tiny_plan(3)} bytes")
+    assert sorted(p.name for p in out.iterdir()) == ["cell_lam1_k2",
+                                                     "summary.csv"]
+    assert formed and set(formed) == {2}
+
+
+MEMINFO = "MemTotal:       16 kB\nMemAvailable:    8 kB\nSwapTotal: 0 kB\n"
+CGROUP = "/sys/fs/cgroup/jobs/a/"
+
+
+@pytest.mark.parametrize("files,available", [
+    ({"/proc/meminfo": MEMINFO}, 8192),
+    ({"/proc/meminfo": MEMINFO, "/proc/self/cgroup": "0::/jobs/a\n",
+      CGROUP + "memory.max": "10000\n", CGROUP + "memory.current": "4000\n"},
+     6000),
+    ({"/proc/meminfo": MEMINFO, "/proc/self/cgroup": "0::/jobs/a\n",
+      CGROUP + "memory.max": "max\n", CGROUP + "memory.current": "4000\n"},
+     8192),
+    ({"/proc/self/cgroup": "0::/jobs/a\n", CGROUP + "memory.max": "10000\n",
+      CGROUP + "memory.current": "4000\n"}, 6000),
+    # a cgroup v1 hierarchy has no memory.max: MemAvailable alone
+    ({"/proc/meminfo": MEMINFO, "/proc/self/cgroup": "4:memory:/jobs/a\n",
+      CGROUP + "memory.max": "10\n", CGROUP + "memory.current": "4\n"},
+     8192),
+    ({}, None),
+], ids=["meminfo", "cgroup-cap", "cgroup-max", "cgroup-only", "cgroup-v1",
+        "none"])
+def test_available_memory_is_meminfo_capped_by_the_cgroup(monkeypatch, files,
+                                                          available):
+    monkeypatch.setattr(cli, "_read", lambda path: files.get(str(path)))
+    assert cli._available_memory() == available
+
+
+def test_unreadable_memory_skips_the_preflight(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_read", lambda path: None)
+    report = cli.cmd_cluster(tiny_config(tmp_path))
+    assert report["plan"]["total"] == tiny_plan(3)
+
+
+def run_artifacts(out):
+    """A run directory's files as bytes, report.json without wall times."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    report = json.loads(files.pop("report.json"))
+    return files, strip_wall_clock(report)
+
+
+def test_trials_sharing_one_workspace_write_what_fresh_buffers_write(
+        monkeypatch, tmp_path):
+    states = []
+    init_state = solver.init_state
+    monkeypatch.setattr(solver, "init_state",
+                        lambda xa, cfg: states.append(init_state(xa, cfg))
+                        or states[-1])
+    noisy = dict(TINY_SPEC, noise_sigma=0.1)
+    cli.cmd_cluster(tiny_config(tmp_path / "a", trials=3, synthetic=noisy))
+    shared, states[:] = states[:], []
+    monkeypatch.setattr(solver, "reuse_buffers",
+                        lambda xa, k: contextlib.nullcontext())
+    cli.cmd_cluster(tiny_config(tmp_path / "b", trials=3, synthetic=noisy))
+    files, report = run_artifacts(tmp_path / "a" / "out")
+    assert len(files) == 6
+    assert (files, report) == run_artifacts(tmp_path / "b" / "out")
+    # every trial's Z, J, Y3, [E1; E2] and Y1 were the run's one set
+    for name in ("z", "j", "y3", "y1"):
+        assert all(getattr(s, name) is getattr(shared[0], name)
+                   for s in shared), name
+        assert len({id(getattr(s, name)) for s in states}) == 3, name
+    assert all(s.e1.base is shared[0].e1.base for s in shared)
+    assert not solver._REUSED
 
 
 def raise_in_solve_matrix(monkeypatch, exc, latent_dim=None):

@@ -812,6 +812,46 @@ def test_run_reuses_init_state_buffers_without_raising_memory_peak(monkeypatch):
     assert peak / (8.0 * vn * vn) <= 2.15
 
 
+def test_run_inside_reuse_buffers_allocates_less_than_one_vn2_buffer(
+        monkeypatch):
+    # the case above: inside the block Z, J, Y3, [E1; E2] and Y1 exist
+    # already, and a warm run peaks at 241,096 bytes, 0.83 vn x vn float32
+    # buffers, against 1,215,768 outside it
+    xa, cfg = shaped_case([8, 6, 7], 3, "full", per_cluster=30)
+    xa = solver.solve_matrix(xa, cfg)
+    fix_iterations(monkeypatch, 3)
+    vn = xa.xa.shape[1]
+    with solver.reuse_buffers(xa, cfg.latent_dim):
+        first = run(xa, cfg).state
+        out, peak = warm_solve_peak(xa, cfg)
+        for name in ("z", "j", "y3", "y1"):
+            assert getattr(out.state, name) is getattr(first, name), name
+        assert out.state.e1.base is first.e1.base
+        # another k is another workspace: this solve allocates its own
+        other = init_state(xa, dataclasses.replace(cfg, latent_dim=3))
+        assert other.z is not first.z
+    assert len(out.trace) == 3
+    assert peak < vn * vn * np.dtype(solver.VN2_DTYPE).itemsize
+    # the block holds nothing once it closes
+    assert not solver._REUSED
+    assert init_state(xa, cfg).z is not first.z
+
+
+def test_init_state_zero_fills_the_reused_buffers():
+    xa, cfg = shaped_case([8, 6, 7], 3, "full")
+    xa = solver.solve_matrix(xa, cfg)
+    with solver.reuse_buffers(xa, cfg.latent_dim):
+        dirty = init_state(xa, cfg)
+        for name in ("z", "j", "y3", "y1", "e1", "e2"):
+            getattr(dirty, name)[...] = 1.0
+        again = init_state(xa, cfg)
+    assert again.z is dirty.z
+    fresh = init_state(xa, cfg)
+    for name in ("p", "h", "z", "e1", "e2", "j", "y1", "y2", "y3"):
+        assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
+        assert getattr(again, name).dtype == getattr(fresh, name).dtype, name
+
+
 def wide_aug():
     ds = gen_synthetic(clusters=3, per_cluster=20, views=2, latent_dim=4,
                        view_dims=[300, 240], noise_sigma=0.1, seed=1)

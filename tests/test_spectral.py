@@ -346,6 +346,25 @@ def test_kmeans_ends_each_restart_once_every_point_sits_on_a_centre(
     assert set(labels.tolist()) == set(range(c))
 
 
+@pytest.mark.parametrize("n, c", [(150, 10), (200, 5), (400, 40)])
+def test_seeding_computes_each_drawn_points_distances_once(monkeypatch, n,
+                                                           c):
+    # wide-manifest's, dense-k8's and ORL's shapes: the restarts draw many
+    # points more than once (370 rows for 140 points at 150, 10), and each
+    # point's distance row is computed only the first time
+    rng = np.random.default_rng(c)
+    points = rng.standard_normal((c, c))[np.arange(n) % c]
+    points += 0.2 * rng.standard_normal((n, c))
+    rows = []
+    sqdist = spectral._sqdist
+    monkeypatch.setattr(spectral, "_sqdist",
+                        lambda a, b: rows.extend(map(tuple, a)) or sqdist(a, b))
+    spectral._greedy_seed(points, c, [rng_from(0, r) for r in range(_RESTARTS)])
+    n_cand = 2 + int(np.log(c))
+    assert len(rows) == len(set(rows))
+    assert len(rows) <= min(n, _RESTARTS * (1 + (c - 1) * n_cand))
+
+
 def test_kmeans_batch_forms_no_four_way_broadcast():
     # c = 40, n = 400 (ORL's shape): the batch peaks at about 4.4 MB against
     # 5.4 MB one restart at a time; a restarts x n x c x f broadcast of the

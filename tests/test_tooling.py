@@ -420,6 +420,40 @@ def test_every_benchmark_workload_runs_without_scipy(tmp_path):
         assert out[-1] == "0 []", (name, out)
 
 
+def test_report_plan_is_the_byte_formula_at_each_workloads_shape(tmp_path):
+    # dense-k8 solves on X (d = 108 < vn = 600); wide-manifest on its
+    # views' factors, so its solve matrix, Y1 and E1 have vn = 450 rows,
+    # not d = 2304. Z, J and Y3 are float32, the rest float64
+    shapes = {"dense-k8": (108, 600, 8, 5_913_600),
+              "wide-manifest": (450, 450, 30, 7_398_000)}
+    for name, workload in bench_workloads().items():
+        assert cli.main(workload_cluster_argv(tmp_path, name, workload)) == 0
+        report = json.loads((tmp_path / name / "out" / "report.json")
+                            .read_text())
+        rows, vn, k, total = shapes[name]
+        plan = {"solve_matrix": 8 * rows * vn, "z_j_y3": 3 * 4 * vn * vn,
+                "e1_e2": 8 * (rows + k) * vn, "y1": 8 * rows * vn}
+        assert report["plan"] == dict(plan, total=total), name
+        assert sum(plan.values()) == total, name
+
+
+def test_serial_cluster_does_not_import_concurrent_futures(tmp_path):
+    # it loads logging, 2.5-3 ms of every process; only a pool needs it
+    argv = ["cluster", "--synthetic", json.dumps(
+        {"clusters": 2, "per_cluster": 6, "views": 2, "latent_dim": 3,
+         "view_dims": [6, 5], "noise_sigma": 0.1, "seed": 0}),
+        "--clusters", "2", "--latent-dim", "3", "--trials", "2",
+        "--out", str(tmp_path / "o")]
+    child = (
+        "import sys\n"
+        "from elmsc import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, [m for m in ('concurrent.futures', 'logging')\n"
+        "             if m in sys.modules])\n"
+    )
+    assert run_child(child).stdout.splitlines()[-1] == "0 []"
+
+
 def test_cli_eval_does_not_load_scipy_optimize(tmp_path):
     # importing scipy.optimize adds about 21 MiB to every elmsc process;
     # ACC's matching is computed in `metrics` so that no path needs it
