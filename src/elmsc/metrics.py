@@ -62,9 +62,12 @@ def _min_cost_assignment(cost):
     # start from the tight edges: each row takes the first column whose
     # minimum it holds
     best = cost.argmin(axis=0)
-    _, first = np.unique(best, return_index=True)
-    row_of[first] = best[first]
-    for i in np.setdiff1d(np.arange(n), row_of):
+    matched, first = np.unique(best, return_index=True)
+    row_of[first] = matched
+    # the unmatched rows in order; np.setdiff1d would import numpy.ma
+    free = np.ones(n, dtype=bool)
+    free[matched] = False
+    for i in np.flatnonzero(free):
         dist = np.full(n, np.inf)  # shortest reduced path cost per column
         prev = np.full(n, -1)  # previous column on that path, -1 = row i
         done = np.zeros(n, dtype=bool)

@@ -71,7 +71,9 @@ def _greedy_seed(points, c, rngs):
 
     def sqdist_rows(idx):
         nonlocal cached
-        new = np.unique(idx[slot[idx] < 0])
+        # sorted and distinct, as np.unique gives them without its import
+        # of numpy.ma
+        new = np.flatnonzero(np.bincount(idx[slot[idx] < 0], minlength=n))
         slot[new] = range(cached, cached + len(new))
         cache[cached:cached + len(new)] = _sqdist(points[new], points)
         cached += len(new)

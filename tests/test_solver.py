@@ -1369,6 +1369,68 @@ def test_kkt_dual_gaps_match_columnwise_and_entrywise_oracles(zero_col_norm,
         rel=1e-12)
 
 
+def j_gap_by_temporaries(state, lam, v, n):
+    """kkt_residuals' j_gap with fresh temporaries per block, about five
+    n x n at once: the reference that its two-scratch loop must match bit
+    for bit."""
+    lam = state.y3.dtype.type(lam)
+    y3, j = state.y3.reshape(v, n, v, n), state.j.reshape(v, n, v, n)
+    j_gap = 0.0
+    for a, b in np.ndindex(v, v):
+        w = lam * (a != b)
+        sgn = np.sign(j[a, :, b])
+        gap = np.abs(y3[a, :, b] + w * sgn)
+        gap -= w * (1 - np.abs(sgn))
+        j_gap = max(j_gap, float(gap.max(initial=0.0)))
+    return j_gap
+
+
+def j_gap_peak(fn, *args):
+    """(fn's result, its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1000.0])
+@pytest.mark.parametrize("poison", [None, "j-nan", "j-inf", "y3-nan",
+                                    "y3-inf"])
+def test_kkt_j_gap_matches_the_temporaries_loop_in_two_scratches(
+        dtype, lam, poison):
+    # J with exact zeros, as a J pass leaves off the diagonal blocks, and
+    # |Y3| on both sides of lam. A NaN in a block of J makes that block's
+    # gap NaN, which the running max passes over, so a diagonal block's
+    # gap is max |Y3| only where J has no NaN there
+    rng = np.random.default_rng(36)
+    v, n = 3, 200
+    st = random_admm_state(rng, d=5, k=2, v=v, n=n)
+    st.j[np.abs(st.j) < 0.03] = 0.0
+    st.j, st.y3 = st.j.astype(dtype), (st.y3 * 10 * (lam + 0.1)).astype(dtype)
+    spike = {"j-nan": ("j", np.nan), "j-inf": ("j", np.inf),
+             "y3-nan": ("y3", np.nan), "y3-inf": ("y3", -np.inf)}
+    if poison is not None:
+        name, value = spike[poison]
+        getattr(st, name)[3, 5] = value  # in diagonal block (0, 0)
+        st.y3[4, 6] = 1e5  # the largest |Y3|, in the same block
+    oracle, oracle_peak = j_gap_peak(j_gap_by_temporaries, st, lam, v, n)
+    report, peak = j_gap_peak(kkt_residuals, st, None, lam, v, n,
+                              (0.0, 0.0, 0.0))
+    assert report.j_gap == oracle
+    if poison in ("j-nan", "y3-nan"):
+        assert report.j_gap < 1e5  # block (0, 0)'s gap is NaN, passed over
+    elif poison is not None:
+        assert report.j_gap == {"j-inf": 1e5, "y3-inf": np.inf}[poison]
+    # two n x n scratches and the e_gap's panel, against about five
+    # temporaries at once before
+    unit = n * n * np.dtype(dtype).itemsize
+    assert peak <= 2.5 * unit < oracle_peak, (peak / unit, oracle_peak / unit)
+
+
 # ---------------------------------------------------------------------------
 # objective and trace export
 # ---------------------------------------------------------------------------

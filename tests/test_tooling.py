@@ -1,6 +1,7 @@
 """Guards for the tooling that reaches into the package by attribute name."""
 
 import ast
+import gc
 import importlib.util
 import json
 import os
@@ -10,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import elmsc
 import elmsc.numerics as numerics
@@ -26,6 +28,7 @@ TRACED_CLUSTER = ROOT / "bench" / "traced_cluster.py"
 SETUP_PROBE = ROOT / "bench" / "setup_probe.py"
 BENCH_RUN = ROOT / "bench" / "run.py"
 README = ROOT / "README.md"
+PYPROJECT = ROOT / "pyproject.toml"
 
 # calls per iteration that `run` makes to each traced solver-module layer;
 # its J pass folds update_j with Y3's dual step, and no program path calls
@@ -437,13 +440,16 @@ def test_report_plan_is_the_byte_formula_at_each_workloads_shape(tmp_path):
         assert sum(plan.values()) == total, name
 
 
-def test_serial_cluster_does_not_import_concurrent_futures(tmp_path):
-    # it loads logging, 2.5-3 ms of every process; only a pool needs it
-    argv = ["cluster", "--synthetic", json.dumps(
+def small_cluster_argv(out, *flags):
+    return ["--synthetic", json.dumps(
         {"clusters": 2, "per_cluster": 6, "views": 2, "latent_dim": 3,
          "view_dims": [6, 5], "noise_sigma": 0.1, "seed": 0}),
-        "--clusters", "2", "--latent-dim", "3", "--trials", "2",
-        "--out", str(tmp_path / "o")]
+        "--clusters", "2", "--trials", "2", "--out", str(out), *flags]
+
+
+def test_serial_cluster_does_not_import_concurrent_futures(tmp_path):
+    # it loads logging, 2.5-3 ms of every process; only a pool needs it
+    argv = ["cluster", *small_cluster_argv(tmp_path / "o", "--latent-dim", "3")]
     child = (
         "import sys\n"
         "from elmsc import cli\n"
@@ -481,3 +487,63 @@ def test_cli_cluster_above_the_data_rank_writes_nothing_to_stderr(tmp_path):
     child = f"import sys\nfrom elmsc import cli\nsys.exit(cli.main({argv!r}))\n"
     assert run_child(child).stderr == ""
     assert (tmp_path / "o" / "report.json").exists()
+
+
+def test_cluster_sweep_and_eval_do_not_import_numpy_ma(tmp_path):
+    # np.unique without a return_* flag, and np.setdiff1d through it, import
+    # numpy.ma (10-15 ms of a process); no command's path calls them
+    labels = tmp_path / "labels.txt"
+    np.savetxt(labels, [0, 0, 1, 1, 2], fmt="%d")
+    runs = [
+        ["cluster", *small_cluster_argv(tmp_path / "c", "--latent-dim", "3")],
+        ["sweep", *small_cluster_argv(tmp_path / "s", "--lambda-grid", "0.1",
+                                      "1", "--k-grid", "3")],
+        ["eval", str(labels), str(labels)],
+    ]
+    child = (
+        "import sys\n"
+        "from elmsc import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    print(argv[0], cli.main(argv), 'numpy.ma' in sys.modules)\n"
+    )
+    out = [line for line in run_child(child).stdout.splitlines()
+           if line.split()[0] in ("cluster", "sweep", "eval")]
+    assert out == ["cluster 0 False", "sweep 0 False", "eval 0 False"], out
+    sweep = (tmp_path / "s" / "summary.csv").read_text().splitlines()
+    assert len(sweep) == 3 and all(",ok," in row for row in sweep[1:]), sweep
+
+
+def test_program_entry_freezes_the_heap_once_main_returns(tmp_path):
+    # the interpreter's exit collections then skip the objects importing
+    # numpy made; the child runs the module as `python -m elmsc.cli` does
+    argv = ["elmsc", "cluster", *small_cluster_argv(tmp_path / "o",
+                                                    "--latent-dim", "3")]
+    child = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        f"sys.argv = {argv!r}\n"
+        "runpy.run_module('elmsc.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    assert run_child(child).stdout.splitlines()[-1] == "frozen True"
+    assert (tmp_path / "o" / "report.json").exists()
+
+
+def test_main_called_in_process_leaves_the_heap_unfrozen(tmp_path):
+    # tests, bench/traced_cluster.py and embedders call main in a process
+    # that goes on; only the program entry freezes
+    assert gc.get_freeze_count() == 0
+    argv = ["cluster", *small_cluster_argv(tmp_path / "o", "--latent-dim", "3")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_and_module_run_share_the_program_entry():
+    # `elmsc` and `python -m elmsc.cli` both end in sys.exit(entry())
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
+    module, _, name = scripts["elmsc"].partition(":")
+    assert module == "elmsc.cli" and callable(getattr(cli, name, None))
+    tree = ast.parse((ROOT / "src" / "elmsc" / "cli.py").read_text())
+    [guard] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(guard.body) == f"sys.exit({name}())"
