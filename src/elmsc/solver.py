@@ -618,22 +618,18 @@ def kkt_residuals(state, xa, lam, v, n, primal=None):
     # block by block through two n x n scratches, with the l1 weight w = lam
     # off the diagonal blocks and 0 on them: w (1 - |sgn J|) is 0 on active
     # entries and w on inactive ones, where sgn J = 0 and the gap is
-    # |Y3| - w. Where w = 0 the gap is |Y3| alone, unless the block of J
-    # holds a NaN: its gap is then NaN, which max() passes over
+    # |Y3| - w
     lam = state.y3.dtype.type(lam)
     y3, j = state.y3.reshape(v, n, v, n), state.j.reshape(v, n, v, n)
     sgn, gap = np.empty((2, n, n), np.result_type(y3, j))
     j_gap = 0.0
     for a, b in np.ndindex(v, v):
         w = lam * (a != b)
-        if w == 0 and not np.isnan(j[a, :, b].max(initial=0)):
-            np.abs(y3[a, :, b], out=gap)
-        else:
-            np.sign(j[a, :, b], out=sgn)
-            np.add(y3[a, :, b], np.multiply(w, sgn, out=gap), out=gap)
-            np.abs(gap, out=gap)
-            np.subtract(1, np.abs(sgn, out=sgn), out=sgn)
-            gap -= np.multiply(w, sgn, out=sgn)
+        np.sign(j[a, :, b], out=sgn)
+        np.add(y3[a, :, b], np.multiply(w, sgn, out=gap), out=gap)
+        np.abs(gap, out=gap)
+        np.subtract(1, np.abs(sgn, out=sgn), out=sgn)
+        gap -= np.multiply(w, sgn, out=sgn)
         j_gap = max(j_gap, float(gap.max(initial=0.0)))
 
     return KktReport(recon=p1, selfrep=p2, aux=p3, e_gap=e_gap, j_gap=j_gap)
