@@ -272,13 +272,10 @@ def _row_panels(rows, cols, step=PANEL_ROWS, dtype=np.float64):
         yield slice(i, i + step), buf[:min(rows - i, step)]
 
 
-def _latent_target(state, xa, out=None):
-    """T = X + Y1/mu - E1: the matrix P H is pulled toward in the P and H steps.
-
-    Formed as (Y1/mu + X) - E1 by row panels into `out`, else a new array;
-    `out` may be E1's own buffer, as in `run`: each panel is read first.
-    """
-    t = np.empty(xa.shape) if out is None else out
+def _latent_target(state, xa):
+    """T = X + Y1/mu - E1: the matrix P H is pulled toward in the P and H
+    steps, formed as (Y1/mu + X) - E1 by row panels into a new array."""
+    t = np.empty(xa.shape)
     for s, panel in _row_panels(*t.shape):
         np.divide(state.y1[s], state.mu, out=panel)
         panel += xa[s]
@@ -314,7 +311,7 @@ def update_h(state, xa, target=None, hw=None, out=None):
     The subproblem's normal equations, divided through by mu, have W = I - Z
     and C = P.T T - D W.T with D = Y2/mu - E2 and update_p's target
     T = X + Y1/mu - E1; `target` takes T when the caller already has it, and
-    then E1 is not read (in `run` E1's buffer holds T by then). P must have
+    then neither E1 nor Y1 is read (in `run` Y1's buffer holds T). P must have
     orthonormal columns (P.T P = I within 1e-8), as update_p returns it; any
     other P is refused with a ValueError before anything is written. The SPD
     system is solved by conjugate gradients on the k rows (`gram_cg_solve`),
@@ -390,37 +387,47 @@ def update_z(state, a=None, out=None):
     return z
 
 
-def update_e(state, xa, out=None, ascent=False):
+def update_e(state, xa, out=None, ascent=None):
     """Error step: columnwise l2,1 shrinkage of the stacked residual target.
 
     G = [X - P H + Y1/mu; H - H Z + Y2/mu] is formed in one (d+k) x vn
-    buffer, `out` when given (P H is written first, so it may hold anything:
-    in `run`, T), and shrunk in place; E1 and E2 are returned as its views.
-    Each row panel of G1 yields its rows of R1 = (G1 - Y1/mu) - E1 as it is
-    shrunk; with `ascent` Y1 takes its dual step Y1 += mu R1 there, and the
-    step returns (E1, E2, `residuals`' r1, H - H Z), whence R2 = H - H Z - E2.
+    buffer, `out` when given (P H is written first, so it may hold
+    anything), and shrunk in place; E1 and E2 are returned as its views.
     H - H Z is formed in float64 from a float32 Z too (`_latent_gap`).
+
+    `ascent` is `run`'s mode, in which E1 and Y1 are held as column
+    scalings of G1, G's first d rows. On entry `out`'s first d rows hold
+    the last step's G1, with Y1/mu = ascent * G1, and Y1's buffer is free:
+    X - P H goes there, and G1 = (X - P H) + ascent * G1 over the old G1,
+    which is left unshrunk. With s = l21_scale(||G||, 1/mu), E1 = s G1, and
+    the dual step Y1 += mu R1 gives Y1 = mu (1 - s) G1, so neither is
+    written. The step returns (s, ||G||, `residuals`' r1, H - H Z), whence
+    R1 = (X - P H) - s G1 and R2 = H - H Z - E2.
     """
     mu, (d, vn) = state.mu, xa.shape
     g = np.empty((d + state.h.shape[0], vn)) if out is None else out
-    g1 = np.subtract(xa, np.matmul(state.p, state.h, out=g[:d]), out=g[:d])
-    for s, panel in _row_panels(d, vn):
-        g1[s] += np.divide(state.y1[s], mu, out=panel)
+    g1 = g[:d]
+    xph = np.matmul(state.p, state.h, out=g1 if ascent is None else state.y1)
+    np.subtract(xa, xph, out=xph)
+    if ascent is None:
+        for s, panel in _row_panels(d, vn):
+            g1[s] += np.divide(state.y1[s], mu, out=panel)
+    else:
+        g1 *= ascent
+        g1 += xph
     dh = _latent_gap(state.h, state.z)
-    e2 = np.add(state.y2 / mu, dh, out=g[d:])
+    np.add(state.y2 / mu, dh, out=g[d:])
     norms = col_norms(g)
+    e2 = col_l21_prox(g[d:], 1.0 / mu, out=g[d:], norms=norms)
     scale = l21_scale(norms, 1.0 / mu)
+    if ascent is None:
+        g1 *= scale
+        return g1, e2
     sq = np.zeros(vn)
     for s, r in _row_panels(d, vn):
-        np.subtract(g1[s], np.divide(state.y1[s], mu, out=r), out=r)
-        g1[s] *= scale
-        r -= g1[s]
+        np.subtract(xph[s], np.multiply(g1[s], scale, out=r), out=r)
         sq += np.einsum("ij,ij->j", r, r)
-        if ascent:
-            r *= mu
-            state.y1[s] += r
-    col_l21_prox(e2, 1.0 / mu, out=e2, norms=norms)
-    return (g1, e2, float(np.sqrt(sq.max())), dh) if ascent else (g1, e2)
+    return scale, norms, float(np.sqrt(sq.max())), dh
 
 
 def update_j(state, lam, v, n):
@@ -436,7 +443,10 @@ def _j_pass(z, b, c, eta, v, n):
     """The J step and Y3 dual step: B = Z + c (c = -Y3/mu on entry) into b,
     C = clip(B, -eta, eta), zero on the diagonal blocks, into c, J = B - C
     (B shrunk by eta off them) into b; Y3 + mu (J - Z) is then -mu C.
-    Returns max |J - Z|, taken by row panels through one scratch panel."""
+    Returns max |J - Z|, taken by row panels through one scratch panel.
+    eta is cast to b's dtype first: np.clip takes a float32 bound faster
+    than a Python float, and rounds it the same way."""
+    eta = b.dtype.type(eta)
     np.add(z, c, out=b)
     np.clip(b, -eta, eta, out=c)
     c.reshape(v, n, v, n)[range(v), :, range(v)] = 0
@@ -480,13 +490,16 @@ def update_multipliers(state, xa, mats=None):
     return state
 
 
-def objective(state, lam, v, n):
+def objective(state, lam, v, n, norms=None):
     """Value of the unconstrained objective at the current primal variables:
     l2,1 norm of the stacked error [E1; E2] plus lam times the l1 norm of
     the off-diagonal blocks of Z. Both are summed block by block, so E is
     never stacked and no vn x vn temporary is made; a float32 Z's blocks
-    are summed in float64."""
-    l21 = float(col_norms(state.e1, state.e2).sum())
+    are summed in float64. `norms` takes the column norms of the E step's
+    target G instead of E, when E is G shrunk at the current mu: E's column
+    norms are then max(||G_j|| - 1/mu, 0)."""
+    l21 = float(col_norms(state.e1, state.e2).sum() if norms is None
+                else np.maximum(norms - 1.0 / state.mu, 0).sum())
     blocks = state.z.reshape(v, n, v, n)
     off = sum(float(np.abs(blocks[i, :, l, :]).sum(dtype=np.float64))
               for i in range(v) for l in range(v) if i != l)
@@ -519,7 +532,6 @@ def run(xa, cfg):
     report is taken at the final iterate, against the matrix the solve ran
     on, `solve_matrix(xa, cfg)`: a caller that solves one matrix many times
     (`cli`'s trials) passes that result, which `run` then uses unchanged.
-    E1's buffer holds T from the P step to the E step, which steps Y1 too.
     Deterministic for a fixed seed.
 
     When that matrix is the factored R of X = QR: Y1 and E1 start at 0, so
@@ -533,6 +545,14 @@ def run(xa, cfg):
     FnT-ML 2011, 3.3). Y3's buffer holds C, then r C = -Y3/mu' (mu' the
     next penalty, r = mu/mu'), and J's holds B, then J, then the next Z
     step's A = J - r C. After the last iteration Y3 = -mu C is formed.
+
+    E1 and Y1 are held implicitly too, by the E block's dual condition:
+    with G1 and s the E step's unshrunk target rows and column scales
+    (`update_e`'s ascent mode), E1 = s G1 and Y1 = mu (1 - s) G1. E1's
+    buffer holds G1 from one E step to the next. Y1's holds the next
+    T = X + Y1/mu' - E1 = X + (r (1 - s) - s) G1 through the P and H steps,
+    then X - P H through the E step. After the last iteration Y1 and then
+    E1 are formed.
     """
     xa = solve_matrix(xa, cfg)
     mat, v, n = xa.xa, xa.n_views, xa.n_samples
@@ -540,26 +560,28 @@ def run(xa, cfg):
 
     state = init_state(xa, cfg)
     e = state.e1.base  # the stacked [E1; E2] that init_state made
-    # beside X, Y1 and E are the only d x vn arrays: T goes over E1, and the
-    # E step refills E and steps Y1. A and -Y3/mu start at 0, as J and Y3
-    # do, and H W at H, as W = I - Z = I
+    # beside X, Y1's buffer and E are the only d x vn arrays. A and -Y3/mu
+    # start at 0, as J and Y3 do, and H W at H, as W = I - Z = I; G1 is 0,
+    # so any column scales give E1 = Y1 = 0
     a, c, hw = state.j, state.y3, state.h
+    e_scale = y_scale = np.zeros(mat.shape[1])
     trace = ConvergenceTrace()
     for t in range(1, cfg.max_iter + 1):
         mu = state.mu
         try:
-            target = _latent_target(state, mat, out=state.e1)
+            target = np.multiply(state.e1, y_scale - e_scale, out=state.y1)
+            target += mat
             state.p = update_p(state, mat, target=target)
             # W = I - Z goes over Z, which nothing reads again before
             # update_z writes the new Z there
             state.h = update_h(state, mat, target=target, hw=hw, out=state.z)
             state.z = update_z(state, a=a, out=state.z)
             r3 = _j_pass(state.z, a, c, lam / mu, v, n)
-            state.e1, state.e2, r1, hw = update_e(state, mat, out=e,
-                                                  ascent=True)
+            e_scale, norms, r1, hw = update_e(state, mat, out=e,
+                                              ascent=y_scale)
         except NumericalError as exc:
             raise NumericalError(f"iteration {t}: {exc}") from exc
-        obj = objective(state, lam, v, n)
+        obj = objective(state, lam, v, n, norms=norms)
         r2 = hw - state.e2
         primal = residuals(state, mat, (r1, r2, r3))
         trace.append(*primal, obj, mu)
@@ -569,8 +591,11 @@ def run(xa, cfg):
             break
         c *= mu / state.mu
         a -= c
+        y_scale = (mu / state.mu) * (1 - e_scale)
 
     c *= -mu
+    np.multiply(state.e1, mu * (1 - e_scale), out=state.y1)
+    state.e1 *= e_scale
     # the multiplier step leaves P, H, Z, E and J as they were, so the last
     # traced residuals are the final iterate's primal gaps
     kkt = kkt_residuals(state, mat, lam, v, n, primal=primal)

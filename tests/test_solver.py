@@ -716,11 +716,12 @@ PADDED = dict(per_cluster=10)
         "rank-deficient", "rank-deficient-v2", "padded-v2"])
 def test_run_matches_unfused_reference(monkeypatch, view_dims, views,
                                       ablation, spec):
-    # `run` holds J and Y3 implicitly (Y3 = -mu C after each J step), which
-    # rounds differently from the standalone steps; the check is of
-    # algebraic exactness, so it runs wholly in float64 (in float32 the
-    # objectives differ by up to 4.8e-8 relative). The reference loop
-    # always runs on X itself, never on R
+    # `run` holds J and Y3 implicitly (Y3 = -mu C after each J step), and
+    # E1 and Y1 as column scalings of the E step's target, formed after the
+    # last iteration; this rounds differently from the standalone steps.
+    # The check is of algebraic exactness, so it runs wholly in float64 (in
+    # float32 the objectives differ by up to 4.8e-8 relative). The
+    # reference loop always runs on X itself, never on R
     monkeypatch.setattr(solver, "VN2_DTYPE", np.float64)
     xa, cfg = shaped_case(view_dims, views, ablation, **spec)
     fused = run(xa, cfg)
@@ -729,8 +730,12 @@ def test_run_matches_unfused_reference(monkeypatch, view_dims, views,
     obj, ref_obj = np.array(fused.trace.objective), np.array(ref_objs)
     # the l2,1 term is exactly 0 while E is still zero
     assert np.all(np.abs(obj - ref_obj) <= 1e-9 * np.abs(ref_obj))
-    for name in ("z", "j", "y3"):
-        assert np.abs(getattr(fused.state, name)
+    state = fused.state
+    if state.e1.shape != ref.e1.shape:  # solved on R: lift E1 and Y1 by Q
+        q = solve_q(xa)
+        state = dataclasses.replace(state, e1=q @ state.e1, y1=q @ state.y1)
+    for name in ("z", "j", "y3", "e1", "e2", "y1", "y2"):
+        assert np.abs(getattr(state, name)
                       - getattr(ref, name)).max() <= 1e-9, name
 
 
