@@ -444,8 +444,8 @@ def _j_pass(z, b, c, eta, v, n):
     C = clip(B, -eta, eta), zero on the diagonal blocks, into c, J = B - C
     (B shrunk by eta off them) into b; Y3 + mu (J - Z) is then -mu C.
     Returns max |J - Z|, taken by row panels through one scratch panel.
-    eta is cast to b's dtype first: np.clip takes a float32 bound faster
-    than a Python float, and rounds it the same way."""
+    eta is cast to b's dtype first, the rounding np.clip gives a Python
+    float bound, so J and C keep their bits."""
     eta = b.dtype.type(eta)
     np.add(z, c, out=b)
     np.clip(b, -eta, eta, out=c)
@@ -495,9 +495,8 @@ def objective(state, lam, v, n, norms=None):
     l2,1 norm of the stacked error [E1; E2] plus lam times the l1 norm of
     the off-diagonal blocks of Z. Both are summed block by block, so E is
     never stacked and no vn x vn temporary is made; a float32 Z's blocks
-    are summed in float64. `norms` takes the column norms of the E step's
-    target G instead of E, when E is G shrunk at the current mu: E's column
-    norms are then max(||G_j|| - 1/mu, 0)."""
+    are summed in float64. `norms` takes the column norms of a G whose
+    shrinkage at the current mu is E: E's are then max(||G_j|| - 1/mu, 0)."""
     l21 = float(col_norms(state.e1, state.e2).sum() if norms is None
                 else np.maximum(norms - 1.0 / state.mu, 0).sum())
     blocks = state.z.reshape(v, n, v, n)
@@ -546,13 +545,11 @@ def run(xa, cfg):
     next penalty, r = mu/mu'), and J's holds B, then J, then the next Z
     step's A = J - r C. After the last iteration Y3 = -mu C is formed.
 
-    E1 and Y1 are held implicitly too, by the E block's dual condition:
-    with G1 and s the E step's unshrunk target rows and column scales
-    (`update_e`'s ascent mode), E1 = s G1 and Y1 = mu (1 - s) G1. E1's
-    buffer holds G1 from one E step to the next. Y1's holds the next
-    T = X + Y1/mu' - E1 = X + (r (1 - s) - s) G1 through the P and H steps,
-    then X - P H through the E step. After the last iteration Y1 and then
-    E1 are formed.
+    E1 and Y1 are held implicitly too, by the E block's dual condition
+    (`update_e`'s ascent mode): E1's buffer holds the E step's unshrunk G1,
+    with E1 = s G1 and Y1 = mu (1 - s) G1. Y1's buffer holds the next
+    T = X + (r (1 - s) - s) G1 through the P and H steps, then X - P H.
+    After the last iteration Y1 and then E1 are formed.
     """
     xa = solve_matrix(xa, cfg)
     mat, v, n = xa.xa, xa.n_views, xa.n_samples

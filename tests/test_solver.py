@@ -1060,7 +1060,7 @@ def test_run_float32_iterates_match_a_float64_solve(monkeypatch, case):
     # In the CG case at k = 100 the float32 solve's CG tolerance (1.19e-5
     # against 1e-12) spreads the objective gap over solver seeds, from
     # 5.7e-5 at seed 0 to 1.24e-4 at seed 1, so the bound holds the median
-    # over seeds 0-5; the dense step reads <= 3.2e-6 at every seed
+    # over seeds 0-5; the dense step reads <= 2.4e-6 at every seed
     seeds = [0]
     if case == "dense-k8":
         xa, cfg, c = dense_k8_aug(), ElmscConfig(lam=1.0, latent_dim=8), 5
